@@ -43,7 +43,8 @@ class FixedComponent:
     def __post_init__(self):
         if not self.label:
             raise InvalidInput("fixed components need a nonempty label")
-        if not isinstance(self.complex_dim, int) or self.complex_dim < 0:
+        if (not isinstance(self.complex_dim, int) or isinstance(self.complex_dim, bool)
+                or self.complex_dim < 0):
             raise InvalidInput(f"{self.label}: complex_dim must be a nonnegative integer")
         weights = tuple(sorted(self.weights))
         for w in weights:

@@ -2,11 +2,14 @@
 
 A polytope is a list of facets, each a primitive inward normal with a
 rational offset (constraint <x, normal> >= offset).  Vertex and edge
-enumeration run over exact rationals and verify the smoothness condition at
-every vertex: exactly dim facets meet there and their normals form a Z-basis.
-monotone_normalize decides whether some translation puts the polytope in
-reflexive position (every offset -1, all vertices on the lattice), which is
-the combinatorial face of monotonicity.
+enumeration run in exact integer arithmetic (offsets scaled by the lcm of
+their denominators, Cramer's rule by fraction-free elimination) and verify
+the smoothness condition at every vertex: exactly dim facets meet there and
+their normals form a Z-basis.  A polytope object enumerates itself at most
+once: its vertices and edges are computed on first use and kept on the
+object.  monotone_normalize decides whether some translation puts the
+polytope in reflexive position (every offset -1, all vertices on the
+lattice), which is the combinatorial face of monotonicity.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
 from .errors import Empty, InvalidInput, NotDelzant, NotMonotone, Unbounded
-from .lattice import Vector, as_vector, content, pairing, primitive_direction
+from .lattice import Vector, as_vector, content
 from .serialize import fraction_from_json, fraction_to_json
 
 Point = tuple[Fraction, ...]
@@ -64,6 +69,16 @@ class DelzantPolytope:
     def facet_name(self, index: int) -> str:
         return f"D{index + 1}"
 
+    @cached_property
+    def vertices(self) -> tuple[VertexFigure, ...]:
+        """enumerate_vertices(self), computed on first use and kept."""
+        return tuple(enumerate_vertices(self))
+
+    @cached_property
+    def edges(self) -> tuple[EdgeSegment, ...]:
+        """enumerate_edges(self), computed on first use and kept."""
+        return tuple(enumerate_edges(self))
+
 
 @dataclass(frozen=True)
 class VertexFigure:
@@ -96,73 +111,53 @@ class EdgeSegment:
         return self.endpoints[1]
 
 
-def _dot(point: Sequence, vec: Sequence) -> Fraction:
-    return sum((Fraction(p) * c for p, c in zip(point, vec)), Fraction(0))
-
-
 def _fmt_point(point: Sequence) -> str:
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
-def _solve(rows: Sequence[Sequence], rhs: Sequence, nvars: int):
-    """Gauss elimination over Q.
-
-    Returns ("unique", solution), ("inconsistent", None), or
-    ("underdetermined", None).
-    """
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(nvars):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        prow = [x / aug[rank][col] for x in aug[rank]]
-        aug[rank] = prow
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], prow)]
-        pivots.append(col)
-        rank += 1
-        if rank == len(aug):
-            break
-    for r in range(rank, len(aug)):
-        if aug[r][nvars] != 0:
-            return "inconsistent", None
-    if len(pivots) < nvars:
-        return "underdetermined", None
-    sol = [Fraction(0)] * nvars
-    for row_idx, col in enumerate(pivots):
-        sol[col] = aug[row_idx][nvars]
-    return "unique", sol
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
 
 
-def _integral_inverse(rows: Sequence[Vector]) -> list[Vector] | None:
-    """Columns of the inverse of a square integer matrix, or None.
+def _scaled_offsets(facets: Sequence[HalfSpace], scale: int = 1) -> tuple[int, list[int]]:
+    """(L, [L * offset, ...]) with L the lcm of scale and every offset denominator."""
+    scale = lcm(scale, *(f.offset.denominator for f in facets))
+    return scale, [f.offset.numerator * (scale // f.offset.denominator) for f in facets]
 
-    None means singular or not unimodular (a non-integral inverse).  Column j
-    of the result pairs to delta_ij with rows[i].
+
+def _cramer(rows: Sequence[Vector], rhs: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, [adj(A) b for each b in rhs]) for the square integer matrix A = rows.
+
+    d is det(A) up to a sign that every numerator shares, so numerator / d
+    solves A x = b exactly; d = 0 means A is singular and no numerators are
+    returned.  Bareiss fraction-free elimination of [A | b ...] followed by
+    fraction-free back substitution: every division is exact.
     """
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = [x / aug[col][col] for x in aug[col]]
-        aug[col] = prow
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], prow)]
-    inverse = [row[n:] for row in aug]
-    if any(x.denominator != 1 for row in inverse for x in row):
-        return None
-    return [tuple(int(inverse[i][j]) for i in range(n)) for j in range(n)]
+    m = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
+    width = n + len(rhs)
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0, []
+            m[k], m[swap] = m[swap], m[k]
+        pivot = m[k]
+        p = pivot[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (p * row[j] - f * pivot[j]) // prev
+        prev = p
+    numerators = []
+    for c in range(n, width):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            x[i] = (prev * row[c] - sum(row[j] * x[j] for j in range(i + 1, n))) // row[i]
+        numerators.append(x)
+    return prev, numerators
 
 
 def _feasible(facets: Sequence[HalfSpace], dim: int) -> bool:
@@ -185,86 +180,115 @@ def _feasible(facets: Sequence[HalfSpace], dim: int) -> bool:
 def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
     """All vertices in lexicographic order, with smoothness checks.
 
-    Every dim-subset of facets is solved exactly; a unique solution satisfying
-    the remaining constraints is a vertex.  At each vertex exactly dim facets
-    must be active and their normals must form a Z-basis; the edge directions
-    are the columns of the inverse normal matrix.  Raises Unbounded or Empty
-    when there is no vertex to report, and NotDelzant on smoothness failures.
+    Offsets are scaled to integers by the lcm L of their denominators, and
+    every dim-subset of facets is solved by Cramer's rule: a nonsingular
+    subset with determinant d > 0 and numerators num has the solution
+    num / (d L), a vertex when <num, normal> >= (L offset) d for every facet,
+    and those facets meeting it with equality are active.  Fractions are built
+    only for the vertices found.  At each vertex exactly dim facets must be
+    active and their normals must form a Z-basis (d = 1); the edge directions
+    are the columns of the inverse normal matrix, read off the adjugate.
+    Raises Unbounded or Empty when there is no vertex to report, and
+    NotDelzant on smoothness failures.
     """
     n = polytope.dim
     facets = polytope.facets
-    positions: set[Point] = set()
+    normals = [f.normal for f in facets]
+    scale, bounds = _scaled_offsets(facets)
+    found: dict[Point, tuple[int, list[int]]] = {}
     for subset in combinations(range(len(facets)), n):
-        status, sol = _solve([facets[i].normal for i in subset],
-                             [facets[i].offset for i in subset], n)
-        if status != "unique":
+        det, numerators = _cramer([normals[i] for i in subset],
+                                  [[bounds[i] for i in subset]])
+        if det == 0:
             continue
-        point = tuple(sol)
-        if all(_dot(point, f.normal) >= f.offset for f in facets):
-            positions.add(point)
-    if not positions:
+        num = numerators[0]
+        if det < 0:
+            det, num = -det, [-c for c in num]
+        if all(_dot(num, u) >= b * det for u, b in zip(normals, bounds)):
+            point = tuple(Fraction(c, det * scale) for c in num)
+            if point not in found:
+                found[point] = (det, [i for i, (u, b) in enumerate(zip(normals, bounds))
+                                      if _dot(num, u) == b * det])
+    if not found:
         if _feasible(facets, n):
             raise Unbounded("no vertex: the half-space intersection is unbounded")
         raise Empty("the half-space intersection is empty")
 
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
     vertices = []
     covered: set[int] = set()
-    for point in sorted(positions):
-        active = [i for i, f in enumerate(facets) if _dot(point, f.normal) == f.offset]
+    for point in sorted(found):
+        det, active = found[point]
         if len(active) != n:
             raise NotDelzant(
                 f"{len(active)} facets active at vertex {_fmt_point(point)}; need exactly {n}")
-        inverse_cols = _integral_inverse([facets[i].normal for i in active])
-        if inverse_cols is None:
+        # exactly n active facets: they are the one subset that produced point
+        if det != 1:
             names = ", ".join(polytope.facet_name(i) for i in active)
             raise NotDelzant(
                 f"normals at vertex {_fmt_point(point)} ({names}) are not a Z-basis")
+        sign, adjugate = _cramer([normals[i] for i in active], identity)
+        inverse_cols = tuple(tuple(sign * c for c in col) for col in adjugate)
         for e in inverse_cols:
-            if all(pairing(e, f.normal) >= 0 for f in facets):
+            if all(_dot(e, u) >= 0 for u in normals):
                 raise Unbounded(
                     f"edge ray from vertex {_fmt_point(point)} never leaves the polytope")
         covered.update(active)
-        vertices.append(VertexFigure(point, frozenset(active), tuple(inverse_cols)))
+        vertices.append(VertexFigure(point, frozenset(active), inverse_cols))
     for i in range(len(facets)):
         if i not in covered:
             raise NotDelzant(f"facet {polytope.facet_name(i)} supports no vertex")
     return vertices
 
 
-def _primitive_rational(diff: Point) -> tuple[Vector, Fraction]:
-    """Primitive integer direction d and length t > 0 with diff = t * d."""
-    denom = lcm(*(c.denominator for c in diff))
-    scaled = [int(c * denom) for c in diff]
-    direction = primitive_direction(scaled)
-    return direction, Fraction(content(scaled), denom)
-
-
 def enumerate_edges(polytope: DelzantPolytope) -> list[EdgeSegment]:
-    """Every bounded 1-face once, endpoints sorted, with exact lattice length."""
-    vertices = enumerate_vertices(polytope)
-    by_position = {v.position: v for v in vertices}
-    found: dict[tuple[Point, Point], tuple[Vector, Fraction]] = {}
-    for v in vertices:
+    """Every bounded 1-face once, endpoints sorted, with exact lattice length.
+
+    Works on the vertices scaled by the lcm L of every offset and coordinate
+    denominator, so positions and facet slacks are integers.  The exit step
+    along an edge direction e is the least slack / -<e, normal> over the
+    facets e leaves through; the far endpoint is a vertex only if that step
+    is an integer multiple of 1/L, and the lattice length is the step.
+    """
+    vertices = polytope.vertices
+    normals = [f.normal for f in polytope.facets]
+    scale = lcm(*(c.denominator for v in vertices for c in v.position))
+    scale, bounds = _scaled_offsets(polytope.facets, scale)
+    points = [tuple(c.numerator * (scale // c.denominator) for c in v.position)
+              for v in vertices]
+    by_point = dict(zip(points, vertices))
+    found: dict[tuple[Vector, Vector], tuple[Vector, Fraction]] = {}
+    for point, v in zip(points, vertices):
+        slacks = [_dot(point, u) - b for u, b in zip(normals, bounds)]
         for e in v.edge_directions:
-            steps = [(f.offset - _dot(v.position, f.normal)) / pairing(e, f.normal)
-                     for f in polytope.facets if pairing(e, f.normal) < 0]
-            t = min(steps)
-            if t <= 0:
+            step_num, step_den = 0, 0
+            for u, s in zip(normals, slacks):
+                rate = -_dot(e, u)
+                if rate > 0 and (step_den == 0 or s * step_den < step_num * rate):
+                    step_num, step_den = s, rate
+            if step_num <= 0:
                 raise NotDelzant(f"degenerate edge at vertex {_fmt_point(v.position)}")
-            other = tuple(p + t * c for p, c in zip(v.position, e))
-            if other not in by_position:
+            step, rem = divmod(step_num, step_den)
+            other = tuple(p + step * c for p, c in zip(point, e))
+            if rem or other not in by_point:
+                far = tuple(Fraction(p * step_den + step_num * c, scale * step_den)
+                            for p, c in zip(point, e))
                 raise NotDelzant(
                     f"edge from {_fmt_point(v.position)} ends at the non-vertex "
-                    f"{_fmt_point(other)}")
-            key = (v.position, other) if v.position < other else (other, v.position)
-            direction, length = _primitive_rational(
-                tuple(b - a for a, b in zip(key[0], key[1])))
+                    f"{_fmt_point(far)}")
+            if point < other:
+                key, direction = (point, other), e
+            else:
+                key, direction = (other, point), tuple(-c for c in e)
+            length = Fraction(step, scale)
             prior = found.get(key)
             if prior is not None and prior != (direction, length):
-                raise NotDelzant(f"edge {_fmt_point(key[0])}-{_fmt_point(key[1])} "
-                                 "reconstructed inconsistently from its endpoints")
+                raise NotDelzant(
+                    f"edge {_fmt_point(by_point[key[0]].position)}-"
+                    f"{_fmt_point(by_point[key[1]].position)} "
+                    "reconstructed inconsistently from its endpoints")
             found[key] = (direction, length)
-    return [EdgeSegment((by_position[k[0]], by_position[k[1]]), direction, length)
+    return [EdgeSegment((by_point[k[0]], by_point[k[1]]), direction, length)
             for k, (direction, length) in sorted(found.items())]
 
 
@@ -273,23 +297,32 @@ def monotone_normalize(polytope: DelzantPolytope) -> tuple[Point, DelzantPolytop
 
     Raises NotMonotone when no such translation exists or when a translated
     vertex misses the lattice (reflexive position must be a lattice polytope).
+    The translated polytope is handed its vertices: the same vertex cones,
+    shifted by the translation, so it is never enumerated again.
     """
-    vertices = enumerate_vertices(polytope)
-    status, sol = _solve([f.normal for f in polytope.facets],
-                         [Fraction(-1) - f.offset for f in polytope.facets],
-                         polytope.dim)
-    if status != "unique":
+    vertices = polytope.vertices
+    # The first vertex's normals are a Z-basis and its edge directions the dual
+    # basis, so they fix the only candidate translation; every facet must agree.
+    first = vertices[0]
+    targets = [-1 - polytope.facets[i].offset for i in sorted(first.incident_facets)]
+    translation = tuple(sum((c * e[k] for c, e in zip(targets, first.edge_directions)),
+                            Fraction(0))
+                        for k in range(polytope.dim))
+    if any(sum(t * a for t, a in zip(translation, f.normal)) != -1 - f.offset
+           for f in polytope.facets):
         raise NotMonotone("no translation takes every facet offset to -1")
-    translation = tuple(sol)
+    shifted = []
     for v in vertices:
-        shifted = tuple(p + t for p, t in zip(v.position, translation))
-        if any(c.denominator != 1 for c in shifted):
+        position = tuple(p + t for p, t in zip(v.position, translation))
+        if any(c.denominator != 1 for c in position):
             raise NotMonotone(
                 f"vertex {_fmt_point(v.position)} translates to the non-lattice "
-                f"point {_fmt_point(shifted)}")
+                f"point {_fmt_point(position)}")
+        shifted.append(VertexFigure(position, v.incident_facets, v.edge_directions))
     reflexive = DelzantPolytope(
         polytope.dim,
         tuple(HalfSpace(f.normal, Fraction(-1)) for f in polytope.facets))
+    vars(reflexive)["vertices"] = tuple(shifted)    # fills the cached_property
     return translation, reflexive
 
 

@@ -19,7 +19,7 @@ from .errors import (CrossCheckFailed, HypothesisFailed, InconsistentComponent,
                      InvalidInput, NotAVertex, ZeroVector)
 from .lattice import Vector, as_vector, content, pairing, quotient_order
 from .polytope import (DelzantPolytope, EdgeSegment, VertexFigure, _fmt_point,
-                       enumerate_edges, enumerate_vertices, in_reflexive_position)
+                       in_reflexive_position)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class SubcircleSpec:
 
 def vertex_weights(spec: SubcircleSpec, vertex: VertexFigure) -> tuple[int, ...]:
     """Pairings of xi with the outgoing edge directions, zeros included."""
-    known = {v.position: v for v in enumerate_vertices(spec.polytope)}
-    if known.get(vertex.position) != vertex:
+    if vertex not in spec.polytope.vertices:
         raise NotAVertex(f"{_fmt_point(vertex.position)} is not a vertex of the polytope")
     return tuple(sorted(pairing(spec.xi, e) for e in vertex.edge_directions))
 
@@ -78,9 +77,8 @@ def isotropy_report(spec: SubcircleSpec) -> IsotropyReport:
     Entries are sorted by codimension then by facet indices, so the first
     violation is always on a face of least codimension.
     """
-    vertices = enumerate_vertices(spec.polytope)
     faces: set[tuple[int, ...]] = set()
-    for v in vertices:
+    for v in spec.polytope.vertices:
         members = sorted(v.incident_facets)
         for bits in range(1 << len(members)):
             faces.add(tuple(m for j, m in enumerate(members) if bits >> j & 1))
@@ -120,8 +118,7 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
     across the group) are the normal weights.
     """
     polytope = spec.polytope
-    vertices = enumerate_vertices(polytope)
-    edges = enumerate_edges(polytope)
+    vertices = polytope.vertices
     index_of = {v.position: i for i, v in enumerate(vertices)}
 
     parent = list(range(len(vertices)))
@@ -132,7 +129,7 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
             i = parent[i]
         return i
 
-    for edge in edges:
+    for edge in polytope.edges:
         if pairing(spec.xi, edge.direction) == 0:
             a, b = find(index_of[edge.tail.position]), find(index_of[edge.head.position])
             if a != b:
@@ -209,7 +206,7 @@ def edge_cross_check(spec: SubcircleSpec) -> list[EdgeInvariants]:
     if witness is not None:
         raise HypothesisFailed(SEMIFREE, witness)
     results = []
-    for edge in enumerate_edges(spec.polytope):
+    for edge in spec.polytope.edges:
         w = pairing(spec.xi, edge.direction)
         if w == 0:
             continue

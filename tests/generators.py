@@ -126,6 +126,48 @@ def scrambled_monotone_2d(rng):
     return name, mat, translation, poly
 
 
+# Product factors: the polygons plus the projective line, the segment [-1, 1].
+FACTOR_NORMALS = {**REFLEXIVE_2D, "P1": ((1,), (-1,))}
+FACTOR_ISOLATED_MAX_DIRECTION = {**ISOLATED_MAX_DIRECTION, "P1": (1,)}
+
+
+def reflexive_product(*names):
+    """Product of reflexive factors, each in its own block of coordinates."""
+    blocks = [FACTOR_NORMALS[name] for name in names]
+    dim = sum(len(block[0]) for block in blocks)
+    facets = []
+    start = 0
+    for block in blocks:
+        size = len(block[0])
+        for normal in block:
+            full = [0] * dim
+            full[start:start + size] = normal
+            facets.append(HalfSpace(tuple(full), Fraction(-1)))
+        start += size
+    return DelzantPolytope(dim, tuple(facets))
+
+
+def scrambled_monotone_product(rng, names):
+    """A scrambled reflexive product, translated by a rational vector.
+
+    The translation has denominators 1 to 3, so the offsets come out with
+    mixed denominators.  Returns (matrix, translation, polytope, xi): xi is
+    the diagonal of the factors' isolated-max circles carried through the
+    matrix, whose width is the least factor width, or None when a factor (the
+    hexagon dP3) has no such circle.
+    """
+    base = reflexive_product(*names)
+    mat = random_unimodular(rng, base.dim)
+    translation = tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                        for _ in range(base.dim))
+    poly = transform_polytope(base, mat, translation)
+    xi = None
+    if all(name in FACTOR_ISOLATED_MAX_DIRECTION for name in names):
+        xi = transform_covector(
+            sum((FACTOR_ISOLATED_MAX_DIRECTION[name] for name in names), ()), mat)
+    return mat, translation, poly, xi
+
+
 def random_delzant_3d(rng):
     """A random smooth 3d polytope: scrambled box, simplex or wedge prism."""
     kind = rng.randrange(3)

@@ -286,6 +286,15 @@ def test_action_json_rejects_garbage():
             {"label": 5, "complex_dim": 0, "weights": [-1]}]})
 
 
+def test_action_json_rejects_boolean_complex_dim():
+    for flag in (True, False):
+        with pytest.raises(InvalidInput) as err:
+            action_from_json({"n": 2, "components": [
+                {"label": "top", "complex_dim": 0, "weights": [-1, -1]},
+                {"label": "bot", "complex_dim": flag, "weights": [1]}]})
+        assert "bot: complex_dim must be a nonnegative integer" in str(err.value)
+
+
 def test_width_is_invariant_under_component_order():
     rng = random.Random(321)
     base = grassmannian_action(GrassmannianSpec(2, 5))

@@ -141,6 +141,18 @@ def test_missing_file_json_error():
     assert data["error"]["kind"] == "FileNotFoundError"
 
 
+def test_boolean_complex_dim_rejected(tmp_path):
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"n": 2, "components": [
+        {"label": "top", "complex_dim": 0, "weights": [-1, -1]},
+        {"label": "mid", "complex_dim": 0, "weights": [-1, 1]},
+        {"label": "bot", "complex_dim": True, "weights": [1]}]}))
+    for command in ("width", "fixed"):
+        code, out = run_cli(command, "--action", str(path))
+        assert code == 2, (command, out)
+        assert out == "error: bot: complex_dim must be a nonnegative integer\n"
+
+
 def test_dir_without_toric_rejected():
     code, out = run_cli("width", "--grassmannian", "2,4", "--dir", "1,0")
     assert code == 2

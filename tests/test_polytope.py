@@ -1,7 +1,8 @@
 """Half-space polytopes: vertices, edges, normalization, serialization.
 
-Vertex positions are double-checked against a Cramer's-rule oracle that
-shares no code with the library's Gaussian elimination.
+Vertex positions are double-checked against a Cramer's-rule oracle built on
+Laplace expansion, which shares no code with the library's fraction-free
+elimination.
 """
 
 import json
@@ -21,6 +22,7 @@ from gromov_width.lattice import pairing
 from gromov_width.polytope import (
     DelzantPolytope,
     HalfSpace,
+    _cramer,
     enumerate_edges,
     enumerate_vertices,
     in_reflexive_position,
@@ -35,11 +37,16 @@ from generators import (
     random_delzant_3d,
     random_unimodular,
     reflexive_polytope,
+    reflexive_product,
     scrambled_monotone_2d,
+    scrambled_monotone_product,
     transform_polytope,
 )
 from helpers import DATA
-from oracles import cramer_vertices
+from oracles import cramer_vertices, laplace_det
+
+FOUR_DIM_PRODUCTS = [("P2", "P2"), ("P1xP1", "dP1"), ("P1", "P1", "P1", "P1"),
+                     ("P2", "P1", "P1"), ("dP3", "P1xP1")]
 
 
 def blown_up_plane():
@@ -91,22 +98,25 @@ def test_vertex_figure_duality():
 
 def test_unbounded_halfplane():
     poly = DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)),))
-    with pytest.raises(Unbounded):
+    with pytest.raises(Unbounded) as err:
         enumerate_vertices(poly)
+    assert str(err.value) == "no vertex: the half-space intersection is unbounded"
 
 
 def test_unbounded_cone_with_vertex():
     poly = DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)),
                                HalfSpace((0, 1), Fraction(0))))
-    with pytest.raises(Unbounded):
+    with pytest.raises(Unbounded) as err:
         enumerate_vertices(poly)
+    assert str(err.value) == "edge ray from vertex (0, 0) never leaves the polytope"
 
 
 def test_empty_intersection():
     poly = DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)),
                                HalfSpace((-1, 0), Fraction(1))))
-    with pytest.raises(Empty):
+    with pytest.raises(Empty) as err:
         enumerate_vertices(poly)
+    assert str(err.value) == "the half-space intersection is empty"
 
 
 def test_non_smooth_vertex_rejected():
@@ -115,7 +125,14 @@ def test_non_smooth_vertex_rejected():
                                HalfSpace((-1, -2), Fraction(-4))))
     with pytest.raises(NotDelzant) as err:
         enumerate_vertices(poly)
-    assert "(0, 2)" in str(err.value)
+    assert str(err.value) == "normals at vertex (0, 2) (D1, D3) are not a Z-basis"
+    poly = DelzantPolytope(3, (HalfSpace((1, 0, 0), Fraction(0)),
+                               HalfSpace((0, 1, 0), Fraction(0)),
+                               HalfSpace((0, 0, 1), Fraction(0)),
+                               HalfSpace((-1, -1, -2), Fraction(-4))))
+    with pytest.raises(NotDelzant) as err:
+        enumerate_vertices(poly)
+    assert str(err.value) == "normals at vertex (0, 0, 2) (D1, D2, D4) are not a Z-basis"
 
 
 def test_redundant_facet_rejected():
@@ -284,3 +301,140 @@ def test_five_reflexive_seeds_are_delzant():
         assert in_reflexive_position(poly)
         translation, _ = monotone_normalize(poly)
         assert translation == (0, 0)
+
+
+def test_vertices_match_cramer_oracle_4d():
+    rng = random.Random(60454)
+    for names in FOUR_DIM_PRODUCTS:
+        for _ in range(2):
+            _, _, poly, _ = scrambled_monotone_product(rng, names)
+            got = {v.position for v in enumerate_vertices(poly)}
+            assert got == cramer_vertices(poly), names
+
+
+def test_4d_edges_are_scrambled_product_edges():
+    rng = random.Random(60455)
+    for names in FOUR_DIM_PRODUCTS:
+        base = reflexive_product(*names)
+        want = sorted(e.lattice_length for e in enumerate_edges(base))
+        _, _, poly, _ = scrambled_monotone_product(rng, names)
+        edges = enumerate_edges(poly)
+        assert sorted(e.lattice_length for e in edges) == want, names
+        positions = {v.position for v in enumerate_vertices(poly)}
+        for e in edges:
+            assert e.tail.position < e.head.position
+            assert {e.tail.position, e.head.position} <= positions
+            assert tuple(a + e.lattice_length * d for a, d in
+                         zip(e.tail.position, e.direction)) == e.head.position
+
+
+def mixed_denominator_box():
+    """[1/2, 5/6] x [1/3, 5/6] x [5/6, 2]: offsets over 2, 3 and 6."""
+    return DelzantPolytope(3, (
+        HalfSpace((1, 0, 0), Fraction(1, 2)), HalfSpace((-1, 0, 0), Fraction(-5, 6)),
+        HalfSpace((0, 1, 0), Fraction(1, 3)), HalfSpace((0, -1, 0), Fraction(-5, 6)),
+        HalfSpace((0, 0, 1), Fraction(5, 6)), HalfSpace((0, 0, -1), Fraction(-2)),
+    ))
+
+
+def test_mixed_denominator_offsets():
+    triangle = DelzantPolytope(2, (
+        HalfSpace((1, 0), Fraction(1, 2)),
+        HalfSpace((0, 1), Fraction(1, 3)),
+        HalfSpace((-1, -1), Fraction(-5, 3)),
+    ))
+    assert [v.position for v in enumerate_vertices(triangle)] == [
+        (Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), Fraction(7, 6)),
+        (Fraction(4, 3), Fraction(1, 3))]
+    assert [e.lattice_length for e in enumerate_edges(triangle)] == [Fraction(5, 6)] * 3
+
+    box = mixed_denominator_box()
+    xs, ys, zs = (Fraction(1, 2), Fraction(5, 6)), (Fraction(1, 3), Fraction(5, 6)), \
+        (Fraction(5, 6), Fraction(2))
+    assert [v.position for v in enumerate_vertices(box)] == [
+        (x, y, z) for x in xs for y in ys for z in zs]
+    lengths = sorted([Fraction(1, 3)] * 4 + [Fraction(1, 2)] * 4 + [Fraction(7, 6)] * 4)
+    rng = random.Random(60456)
+    for _ in range(10):
+        moved = transform_polytope(box, random_unimodular(rng, 3),
+                                   (Fraction(1, 6), Fraction(-2, 3), Fraction(5, 2)))
+        assert {v.position for v in enumerate_vertices(moved)} == cramer_vertices(moved)
+        assert sorted(e.lattice_length for e in enumerate_edges(moved)) == lengths
+
+
+def test_cramer_kernel_matches_laplace():
+    rng = random.Random(60457)
+    singular = 0
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        rows = [tuple(rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n))
+                for _ in range(n)]
+        rhs = [rng.randrange(-7, 8) for _ in range(n)]
+        det = laplace_det([list(r) for r in rows])
+        d, numerators = _cramer(rows, [rhs])
+        if det == 0:
+            assert d == 0 and numerators == []
+            singular += 1
+            continue
+        assert abs(d) == abs(det)
+        for j in range(n):
+            aj = [list(r[:j]) + [rhs[i]] + list(r[j + 1:]) for i, r in enumerate(rows)]
+            assert Fraction(numerators[0][j], d) == Fraction(laplace_det(aj), det)
+    assert singular > 20
+
+
+def test_degenerate_vertex_message():
+    poly = DelzantPolytope(2, reflexive_polytope("P1xP1").facets
+                           + (HalfSpace((1, 1), Fraction(-2)),))
+    with pytest.raises(NotDelzant) as err:
+        enumerate_vertices(poly)
+    assert str(err.value) == "3 facets active at vertex (-1, -1); need exactly 2"
+
+
+def test_unbounded_and_empty_3d():
+    prism = DelzantPolytope(3, (HalfSpace((1, 0, 0), Fraction(0)),
+                                HalfSpace((0, 1, 0), Fraction(0)),
+                                HalfSpace((-1, -1, 0), Fraction(-1))))
+    with pytest.raises(Unbounded) as err:
+        enumerate_vertices(prism)
+    assert str(err.value) == "no vertex: the half-space intersection is unbounded"
+    slab = DelzantPolytope(3, (HalfSpace((1, 0, 0), Fraction(1, 2)),
+                               HalfSpace((-1, 0, 0), Fraction(-1, 3)),
+                               HalfSpace((0, 1, 0), Fraction(0)),
+                               HalfSpace((0, 0, 1), Fraction(0)),
+                               HalfSpace((0, -1, -1), Fraction(-1))))
+    with pytest.raises(Empty) as err:
+        enumerate_vertices(slab)
+    assert type(err.value) is Empty
+    assert str(err.value) == "the half-space intersection is empty"
+
+
+def test_memo_holds_one_enumeration():
+    poly = scrambled_monotone_product(random.Random(60458), ("P2", "P1"))[2]
+    assert poly.vertices is poly.vertices
+    assert isinstance(poly.vertices, tuple) and isinstance(poly.edges, tuple)
+    assert list(poly.vertices) == enumerate_vertices(poly)
+    assert list(poly.edges) == enumerate_edges(poly)
+
+
+def test_memo_keeps_equality_and_hash():
+    rng = random.Random(60459)
+    for names in [("dP2",), ("P2", "P1"), ("P1xP1", "P1xP1")]:
+        poly = scrambled_monotone_product(rng, names)[2]
+        twin = polytope_from_json(polytope_to_json(poly))
+        assert poly.vertices and poly.edges
+        assert poly == twin and twin == poly
+        assert hash(poly) == hash(twin)
+        assert len({poly, twin}) == 1
+
+
+def test_reflexive_copy_is_handed_its_vertices():
+    rng = random.Random(60460)
+    for names in [("dP1",), ("dP3",), ("P2", "P1"), ("dP1", "P1"), ("P2", "P2"),
+                  ("P1xP1", "P1xP1")]:
+        _, reflexive = monotone_normalize(scrambled_monotone_product(rng, names)[2])
+        fresh = DelzantPolytope(reflexive.dim, tuple(
+            HalfSpace(f.normal, Fraction(-1)) for f in reflexive.facets))
+        assert "vertices" in vars(reflexive)
+        assert list(reflexive.vertices) == enumerate_vertices(fresh)
+        assert list(reflexive.edges) == enumerate_edges(fresh)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from gromov_width.circle_action import SEMIFREE, gromov_width, normalize_moment
+import gromov_width.polytope as polytope_module
+from gromov_width.circle_action import (SEMIFREE, gromov_width, normalize_moment,
+                                        run_all_checks)
 from gromov_width.errors import (
     DimensionMismatch,
     HypothesisFailed,
@@ -21,7 +23,10 @@ from gromov_width.polytope import (
     enumerate_edges,
     enumerate_vertices,
     monotone_normalize,
+    polytope_from_json,
+    polytope_to_json,
 )
+from gromov_width.seidel import seidel_structure
 from gromov_width.toric import (
     SubcircleSpec,
     edge_cross_check,
@@ -38,6 +43,7 @@ from generators import (
     SEMIFREE_SEED_DIRECTION,
     reflexive_polytope,
     scrambled_monotone_2d,
+    scrambled_monotone_product,
     transform_covector,
 )
 from helpers import primitive_box
@@ -248,3 +254,27 @@ def test_edge_cross_check_requires_semifree():
         edge_cross_check(spec)
     assert err.value.check == SEMIFREE
     assert err.value.witness == "facet D3 isotropy order 2"
+
+
+@pytest.mark.parametrize("names, width", [
+    (("dP2",), 2), (("P2",), 3), (("P2", "P1"), 2), (("P1xP1", "P1xP1"), 2),
+    (("P2", "P2"), 3)])
+def test_one_enumeration_per_request(monkeypatch, names, width):
+    enumerated = []
+    real_enumerate_vertices = polytope_module.enumerate_vertices
+
+    def counting(polytope):
+        enumerated.append(polytope)
+        return real_enumerate_vertices(polytope)
+
+    monkeypatch.setattr(polytope_module, "enumerate_vertices", counting)
+    _, _, scrambled, xi = scrambled_monotone_product(random.Random(7373), names)
+    raw = polytope_from_json(polytope_to_json(scrambled))
+    _, reflexive = monotone_normalize(raw)
+    spec = SubcircleSpec(xi, reflexive)
+    action = toric_action(spec)
+    assert all(c.passed for c in run_all_checks(action))
+    assert gromov_width(action).width == width
+    assert edge_cross_check(spec)
+    seidel_structure(action)
+    assert enumerated == [raw]
