@@ -9,7 +9,7 @@ from .circle_action import (ActionData, CheckResult, FixedComponent, Provenance,
                             check_isolated_max, check_monotone_consistency,
                             check_semifree, gradient_sphere_invariants, gromov_width,
                             load_action, normalize_moment, product_action,
-                            run_all_checks)
+                            product_checks, product_width, run_all_checks)
 from .errors import (AmbiguousMax, CrossCheckFailed, DegreeMismatch, Empty, Error,
                      HypothesisFailed, HypothesisFailure, InvalidInput, NotDelzant,
                      NotEnoughComponents, NotMonotone, Unbounded)
@@ -19,7 +19,7 @@ from .polytope import (DelzantPolytope, EdgeSegment, HalfSpace, VertexFigure,
                        enumerate_edges, enumerate_vertices, load_polytope,
                        monotone_normalize, polytope_from_json, polytope_to_json)
 from .seidel import (EntryStatus, SeidelEntry, SeidelStructure, degree_check,
-                     seidel_structure)
+                     seidel_from_width, seidel_structure)
 from .toric import (EdgeInvariants, IsotropyReport, SubcircleSpec, edge_cross_check,
                     isotropy_report, semifree_witness, toric_action, vertex_weights)
 
@@ -38,7 +38,7 @@ __all__ = [
     "enumerate_vertices", "gradient_sphere_invariants", "grassmannian_action",
     "gromov_width", "isotropy_report", "load_action", "load_polytope",
     "monotone_normalize", "normalize_moment", "pairing", "polytope_from_json",
-    "polytope_to_json", "primitive_direction", "product_action", "quotient_order",
-    "run_all_checks", "seidel_structure", "semifree_witness", "toric_action",
-    "vertex_weights",
+    "polytope_to_json", "primitive_direction", "product_action", "product_checks",
+    "product_width", "quotient_order", "run_all_checks", "seidel_from_width",
+    "seidel_structure", "semifree_witness", "toric_action", "vertex_weights",
 ]

@@ -89,7 +89,7 @@ class ActionData:
     provenance: Provenance = ABSTRACT_INPUT
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InvalidInput("half-dimension n must be a positive integer")
         comps = tuple(self.components)
         if not comps:
@@ -106,8 +106,16 @@ class ActionData:
 
 
 def normalize_moment(action: ActionData) -> ActionData:
-    """Set H = -(weight sum) on every component; input H is never trusted."""
-    comps = tuple(replace(c, H=-c.weight_sum) for c in action.components)
+    """Set H = -(weight sum) on every component; input H is never trusted.
+
+    H is recomputed and compared on every component: one that already holds
+    that integer is kept as it is, and an action with nothing to change is
+    returned unchanged.
+    """
+    comps = tuple(c if type(c.H) is int and c.H == -c.weight_sum
+                  else replace(c, H=-c.weight_sum) for c in action.components)
+    if all(new is old for new, old in zip(comps, action.components)):
+        return action
     return replace(action, components=comps)
 
 
@@ -286,6 +294,74 @@ def product_action(parts: Sequence[ActionData]) -> ActionData:
         components=tuple(comps),
         provenance=Provenance("product", children=tuple(p.provenance for p in parts)),
     )
+
+
+def _lemma_factors(parts: Sequence[ActionData]) -> list[ActionData] | None:
+    """The normalized factors when the product lemma answers for their product.
+
+    If every factor is semifree with an isolated maximum and monotone-consistent,
+    so is the product; its levels are the sums of factor levels, so its top is
+    the sum of the factor tops and its next level sits the smallest factor gap
+    below.  That holds only for a product that product_action can build, so
+    the joined labels must be distinct; they are counted exactly.  None when a
+    condition fails, when there is a single factor, or when no factor has a
+    second level: the caller then builds the product.
+    """
+    if len(parts) < 2:
+        return None
+    parts = [normalize_moment(p) for p in parts]
+    try:
+        if not all(r.passed for p in parts for r in run_all_checks(p)):
+            return None
+    except AmbiguousMax:
+        return None
+    if all(len(p.components) == 1 for p in parts):
+        return None
+    labels = [[_wrap_label(c.label) for c in p.components] for p in parts]
+    combos = 1
+    for group in labels:
+        combos *= len(group)
+    if len({" x ".join(combo) for combo in cartesian(*labels)}) != combos:
+        return None
+    return parts
+
+
+def product_width(parts: Sequence[ActionData]) -> WidthReport:
+    """gromov_width(product_action(parts)), from the factors where it can be.
+
+    The width is the smallest gap g between a factor's two highest levels,
+    and the second-level components are the combinations with one factor at
+    a component g below its top and every other factor at its top.
+    """
+    factors = _lemma_factors(parts)
+    if factors is None:
+        return gromov_width(product_action(parts))
+    tops = [_max_component(p) for p in factors]
+    gap = min(levels[0] - levels[1]
+              for levels in map(_levels_desc, factors) if len(levels) > 1)
+    top_labels = [_wrap_label(t.label) for t in tops]
+    second = []
+    for i, (factor, top) in enumerate(zip(factors, tops)):
+        for c in factor.components:
+            if c.H == top.H - gap:
+                second.append(" x ".join(
+                    top_labels[:i] + [_wrap_label(c.label)] + top_labels[i + 1:]))
+    H_max = sum(t.H for t in tops)
+    return WidthReport(
+        width=gap,
+        H_max=H_max,
+        s=H_max - gap,
+        max_component=" x ".join(top_labels),
+        second_level_components=tuple(sorted(second)),
+        hypothesis_log=ALL_CHECKS,
+    )
+
+
+def product_checks(parts: Sequence[ActionData]) -> list[CheckResult]:
+    """run_all_checks(product_action(parts)), from the factors where it can be."""
+    if _lemma_factors(parts) is None:
+        return run_all_checks(product_action(parts))
+    return [CheckResult(check, True) for check in ALL_CHECKS]
 
 
 def action_from_json(data) -> ActionData:

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import toric
 from .circle_action import (ISOLATED_MAX, MONOTONE_CONSISTENCY, SEMIFREE, ActionData,
-                            CheckResult, action_to_json, gromov_width, load_action,
-                            normalize_moment, product_action, raw_level_gap,
+                            CheckResult, WidthReport, action_to_json, gromov_width,
+                            load_action, normalize_moment, product_action,
+                            product_checks, product_width, raw_level_gap,
                             run_all_checks)
 from .errors import Error, HypothesisFailed, HypothesisFailure, InvalidInput, NotMonotone
 from .grassmannian import GrassmannianSpec, grassmannian_action
 from .lattice import content
 from .polytope import load_polytope, monotone_normalize
-from .seidel import seidel_structure
+from .seidel import seidel_from_width
 from .serialize import point_to_json
 
 _HEADLINES = {
@@ -42,17 +45,31 @@ class Source:
     children: tuple["Source", ...] = ()
 
 
-@dataclass(frozen=True)
 class Resolved:
-    action: ActionData
-    spec: toric.SubcircleSpec | None = None   # present only for toric sources
+    """A resolved source.  A product keeps its resolved factors in parts and
+    builds the Cartesian action only when .action is first read."""
+
+    def __init__(self, action: ActionData | None = None,
+                 spec: toric.SubcircleSpec | None = None,
+                 parts: tuple[ActionData, ...] | None = None):
+        if action is not None:
+            self.action = action
+        self.spec = spec      # present only for toric sources
+        self.parts = parts    # present only for product sources
+
+    @cached_property
+    def action(self) -> ActionData:
+        return product_action(self.parts)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p.strip()) for p in text.split(","))
-    except ValueError as exc:
-        raise InvalidInput(f"{flag}: expected comma-separated integers, got {text!r}") from exc
+    items = [p.strip() for p in text.split(",")]
+    if not all(_INTEGER.fullmatch(p) for p in items):
+        raise InvalidInput(f"{flag}: expected comma-separated integers, got {text!r}")
+    return tuple(int(p) for p in items)
 
 
 def _parse_direction(text: str) -> tuple[int, ...]:
@@ -127,7 +144,7 @@ def resolve(source: Source) -> Resolved:
         spec = toric.SubcircleSpec(source.direction, reflexive, source=str(source.path))
         return Resolved(toric.toric_action(spec), spec)
     if source.kind == "product":
-        return Resolved(product_action([resolve(c).action for c in source.children]))
+        return Resolved(parts=tuple(resolve(c).action for c in source.children))
     raise InvalidInput(f"unknown source kind {source.kind!r}")
 
 
@@ -194,8 +211,14 @@ def _failure_line(check: str, witness: str, gap) -> str:
     return line
 
 
-def _run_width(action: ActionData) -> tuple[dict, str, int]:
-    report = gromov_width(action)
+def _width_report(resolved: Resolved) -> WidthReport:
+    if resolved.parts is None:
+        return gromov_width(resolved.action)
+    return product_width(resolved.parts)
+
+
+def _run_width(resolved: Resolved) -> tuple[dict, str, int]:
+    report = _width_report(resolved)
     payload = {
         "command": "width",
         "width": report.width,
@@ -214,8 +237,11 @@ def _run_width(action: ActionData) -> tuple[dict, str, int]:
     return payload, "\n".join(lines), 0
 
 
-def _run_check(action: ActionData, resolved: Resolved) -> tuple[dict, str, int]:
-    results = run_all_checks(action)
+def _run_check(resolved: Resolved) -> tuple[dict, str, int]:
+    if resolved.parts is None:
+        results = run_all_checks(resolved.action)
+    else:
+        results = product_checks(resolved.parts)
     if resolved.spec is not None:
         upgraded = []
         for r in results:
@@ -235,7 +261,7 @@ def _run_check(action: ActionData, resolved: Resolved) -> tuple[dict, str, int]:
     if not failed:
         lines.append("all hypotheses hold")
         return payload, "\n".join(lines), 0
-    gap = raw_level_gap(normalize_moment(action))
+    gap = raw_level_gap(normalize_moment(resolved.action))
     payload["failure"] = {"check": failed[0].check, "witness": failed[0].witness,
                           "raw_difference": gap}
     lines.append(_failure_line(failed[0].check, failed[0].witness, gap))
@@ -275,8 +301,8 @@ def _run_edges(resolved: Resolved) -> tuple[dict, str, int]:
     return payload, "\n".join(lines), 0
 
 
-def _run_seidel(action: ActionData) -> tuple[dict, str, int]:
-    structure = seidel_structure(action)
+def _run_seidel(resolved: Resolved) -> tuple[dict, str, int]:
+    structure = seidel_from_width(_width_report(resolved))
     payload = {
         "command": "seidel",
         "n": structure.n,
@@ -300,20 +326,26 @@ def _execute(args) -> tuple[dict, str, int]:
     resolved = resolve(_source_from_args(args))
     try:
         if args.command == "width":
-            return _run_width(resolved.action)
+            return _run_width(resolved)
         if args.command == "check":
-            return _run_check(resolved.action, resolved)
+            return _run_check(resolved)
         if args.command == "fixed":
             return _run_fixed(resolved.action)
         if args.command == "edges":
             return _run_edges(resolved)
-        return _run_seidel(resolved.action)
+        return _run_seidel(resolved)
     except HypothesisFailed as exc:
         raise _enrich(exc, resolved) from None
 
 
+_parser = None     # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         payload, text, code = _execute(args)
     except HypothesisFailed as exc:

@@ -19,7 +19,7 @@ class GrassmannianSpec:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or not isinstance(self.m, int):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (self.k, self.m)):
             raise InvalidRange("k and m must be integers")
         if self.k < 1 or self.k > self.m - self.k:
             raise InvalidRange(f"need 1 <= k <= m - k, got k={self.k}, m={self.m}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circle_action import ActionData, gromov_width
+from .circle_action import ActionData, WidthReport, gromov_width
 from .errors import DegreeMismatch
 
 
@@ -62,14 +62,18 @@ class SeidelStructure:
 
 
 def seidel_structure(action: ActionData) -> SeidelStructure:
-    """Status of every Seidel coefficient of a hypothesis-passing action.
+    """Status of every Seidel coefficient of a hypothesis-passing action."""
+    return seidel_from_width(gromov_width(action))
+
+
+def seidel_from_width(report: WidthReport) -> SeidelStructure:
+    """Seidel structure from the width report of a hypothesis-passing action.
 
     A correction supported on a sphere class of Chern number c sits at index
     n - c; monotonicity makes every contributing Chern number at least the
     level gap n - s, so the indices s..n-1 are forced to vanish while a_n is
     the point class contributed by the maximum alone.
     """
-    report = gromov_width(action)
     n, s = report.H_max, report.s
     entries = []
     for i in range(n + 1):

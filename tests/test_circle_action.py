@@ -80,6 +80,29 @@ def test_action_data_validation():
     assert "1 weights + complex_dim 0 != n = 3" in result.witness
 
 
+def test_action_data_rejects_boolean_n():
+    for flag in (True, False):
+        with pytest.raises(InvalidInput) as err:
+            ActionData(n=flag, components=(FixedComponent("pt", 0, (-1,)),))
+        assert str(err.value) == "half-dimension n must be a positive integer"
+
+
+def test_normalize_moment_keeps_what_is_already_normal():
+    action = ActionData(n=2, components=(
+        FixedComponent("a", 0, (-1, -1), H=2),
+        FixedComponent("b", 1, (1,), H=-1),
+    ))
+    assert normalize_moment(action) is action
+    stale = ActionData(n=2, components=(
+        action.components[0],
+        FixedComponent("b", 1, (-1,), H=True),    # == 1, but a bool is not kept
+        FixedComponent("c", 0, (-1, 1)),
+    ))
+    normal = normalize_moment(stale)
+    assert normal.components[0] is stale.components[0]
+    assert [(c.H, type(c.H)) for c in normal.components] == [(2, int), (1, int), (0, int)]
+
+
 def test_normalize_moment_overwrites_h():
     action = ActionData(n=2, components=(
         FixedComponent("a", 0, (-1, -1), H=99),

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gromov_width import cli
 from gromov_width.cli import main, parse_source_expr
 from gromov_width.errors import InvalidInput
 
@@ -192,6 +193,60 @@ def test_product_with_toric_atom():
     assert code == 0
     assert out.splitlines()[0] == "Gromov width: 2"
     assert "p23 x Gr(1,1)xGr(0,1)" in out
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (("--grassmannian", "1_0,2_0"), "--grassmannian", "1_0,2_0"),
+    (("--grassmannian", "\uff12,\uff14"), "--grassmannian", "\uff12,\uff14"),
+    (("--grassmannian", "2.0,4"), "--grassmannian", "2.0,4"),
+    (("--toric", FIG1, "--dir", "0,1_0"), "--dir", "0,1_0"),
+    (("--toric", FIG1, "--dir= 0 ,\u0661"), "--dir", " 0 ,\u0661"),
+    (("--product", "grassmannian(1,1_2)"), "grassmannian", "1,1_2"),
+    (("--product", f"toric({FIG1},0,1_0),grassmannian(1,2)"), "--dir", "0,1_0"),
+])
+def test_integers_are_ascii_digits_only(argv, flag, text):
+    # int() would take underscores and non-ASCII digits
+    code, out = run_cli("width", *argv)
+    assert code == 2
+    assert out == f"error: {flag}: expected comma-separated integers, got {text!r}\n"
+
+
+def test_integers_allow_signs_and_spaces():
+    assert cli._parse_ints(" +1 , -2,3 ", "--dir") == (1, -2, 3)
+    code, out = run_cli("width", "--grassmannian", " 2 , +4 ")
+    assert code == 0
+    assert out.splitlines()[0] == "Gromov width: 4"
+
+
+def test_parser_is_built_once_and_survives_a_failed_parse(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["width", "--grassmannian", "2,4", "--format", "yaml"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+    argvs = [
+        ["width", "--grassmannian", "2,4"],
+        ["check", "--toric", FIG1, "--dir=-1,-2", "--format", "json"],
+        ["fixed", "--product", "grassmannian(1,2),grassmannian(1,3)"],
+        ["edges", "--toric", FIG1, "--dir", "0,1"],
+        ["seidel", "--grassmannian", "2,5", "--format", "json"],
+    ]
+    reused = [run_cli(*argv) for argv in argvs]
+    assert len(calls) == 1
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run_cli(*argv))
+    assert reused == fresh
+    assert len(calls) == 1 + len(argvs)
 
 
 def test_source_grammar_errors():

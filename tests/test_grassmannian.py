@@ -20,6 +20,14 @@ def test_grassmannian_spec_range():
     GrassmannianSpec(1, 2)
 
 
+def test_grassmannian_spec_rejects_booleans():
+    # bool is an int subclass: True would otherwise build Gr(1, 3)
+    for k, m in ((True, 3), (1, True), (False, 2)):
+        with pytest.raises(InvalidRange) as err:
+            GrassmannianSpec(k, m)
+        assert str(err.value) == "k and m must be integers"
+
+
 def test_projective_line():
     action = grassmannian_action(GrassmannianSpec(1, 2))
     data = [(c.label, c.complex_dim, c.weights, c.H) for c in action.components]
