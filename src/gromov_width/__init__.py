@@ -4,12 +4,12 @@ purely from moment-map fixed-point data.  All arithmetic is over Z and Q;
 nothing is ever rounded.
 """
 
-from .circle_action import (ActionData, CheckResult, FixedComponent, Provenance,
-                            WidthReport, action_from_json, action_to_json,
-                            check_isolated_max, check_monotone_consistency,
-                            check_semifree, gradient_sphere_invariants, gromov_width,
-                            load_action, normalize_moment, product_action,
-                            product_checks, product_width, run_all_checks)
+from .circle_action import (ActionData, CheckResult, FixedComponent, WidthReport,
+                            action_from_json, action_to_json, check_isolated_max,
+                            check_monotone_consistency, check_semifree,
+                            gradient_sphere_invariants, gromov_width, load_action,
+                            normalize_moment, product_action, product_checks,
+                            product_level_gap, product_width, run_all_checks)
 from .errors import (AmbiguousMax, CrossCheckFailed, DegreeMismatch, Empty, Error,
                      HypothesisFailed, HypothesisFailure, InvalidInput, NotDelzant,
                      NotEnoughComponents, NotMonotone, Unbounded)
@@ -30,8 +30,7 @@ __all__ = [
     "DegreeMismatch", "DelzantPolytope", "EdgeInvariants", "EdgeSegment", "Empty",
     "EntryStatus", "Error", "FixedComponent", "GrassmannianSpec", "HalfSpace",
     "HypothesisFailed", "HypothesisFailure", "InvalidInput", "IsotropyReport",
-    "NotDelzant", "NotEnoughComponents", "NotMonotone", "Provenance",
-    "SeidelEntry", "SeidelStructure",
+    "NotDelzant", "NotEnoughComponents", "NotMonotone", "SeidelEntry", "SeidelStructure",
     "SubcircleSpec", "Unbounded", "VertexFigure", "WidthReport", "action_from_json",
     "action_to_json", "check_isolated_max", "check_monotone_consistency",
     "check_semifree", "degree_check", "edge_cross_check", "enumerate_edges",
@@ -39,6 +38,7 @@ __all__ = [
     "gromov_width", "isotropy_report", "load_action", "load_polytope",
     "monotone_normalize", "normalize_moment", "pairing", "polytope_from_json",
     "polytope_to_json", "primitive_direction", "product_action", "product_checks",
-    "product_width", "quotient_order", "run_all_checks", "seidel_from_width",
-    "seidel_structure", "semifree_witness", "toric_action", "vertex_weights",
+    "product_level_gap", "product_width", "quotient_order", "run_all_checks",
+    "seidel_from_width", "seidel_structure", "semifree_witness", "toric_action",
+    "vertex_weights",
 ]

@@ -59,23 +59,6 @@ class FixedComponent:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    kind: str
-    detail: str = ""
-    children: tuple["Provenance", ...] = ()
-
-    def describe(self) -> str:
-        if self.children:
-            return self.kind + "(" + ", ".join(c.describe() for c in self.children) + ")"
-        if self.detail:
-            return f"{self.kind}({self.detail})"
-        return self.kind
-
-
-ABSTRACT_INPUT = Provenance("abstract-input")
-
-
-@dataclass(frozen=True)
 class ActionData:
     """Half-dimension n plus the list of fixed components.
 
@@ -86,7 +69,6 @@ class ActionData:
 
     n: int
     components: tuple[FixedComponent, ...]
-    provenance: Provenance = ABSTRACT_INPUT
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -203,11 +185,15 @@ def check_monotone_consistency(action: ActionData) -> CheckResult:
     return CheckResult(MONOTONE_CONSISTENCY, True)
 
 
-def run_all_checks(action: ActionData) -> list[CheckResult]:
-    action = normalize_moment(action)
+def _checks(action: ActionData) -> list[CheckResult]:
+    """The three checks, in ALL_CHECKS order, on a normalized action."""
     return [check_semifree(action),
             check_isolated_max(action),
             check_monotone_consistency(action)]
+
+
+def run_all_checks(action: ActionData) -> list[CheckResult]:
+    return _checks(normalize_moment(action))
 
 
 @dataclass(frozen=True)
@@ -228,9 +214,7 @@ def gromov_width(action: ActionData) -> WidthReport:
     a width in that case).
     """
     action = normalize_moment(action)
-    results = [check_semifree(action),
-               check_isolated_max(action),
-               check_monotone_consistency(action)]
+    results = _checks(action)
     for result in results:
         if not result.passed:
             raise HypothesisFailed(result.check, result.witness, raw_level_gap(action))
@@ -289,11 +273,7 @@ def product_action(parts: Sequence[ActionData]) -> ActionData:
             weights=tuple(w for c in combo for w in c.weights),
             H=sum(c.H for c in combo),
         ))
-    return ActionData(
-        n=sum(p.n for p in parts),
-        components=tuple(comps),
-        provenance=Provenance("product", children=tuple(p.provenance for p in parts)),
-    )
+    return ActionData(n=sum(p.n for p in parts), components=tuple(comps))
 
 
 def _lemma_factors(parts: Sequence[ActionData]) -> list[ActionData] | None:
@@ -326,6 +306,18 @@ def _lemma_factors(parts: Sequence[ActionData]) -> list[ActionData] | None:
     return parts
 
 
+def _smallest_gap(factors: Sequence[ActionData]) -> int | None:
+    # the product's levels are the sums of factor levels, so its top gap is the
+    # smallest gap of a factor with a second level
+    return min((g for g in map(raw_level_gap, factors) if g is not None), default=None)
+
+
+def product_level_gap(parts: Sequence[ActionData]) -> int | None:
+    """raw_level_gap(product_action(parts)) for a product that can be built,
+    from the factors' own gaps, without building it."""
+    return _smallest_gap([normalize_moment(p) for p in parts])
+
+
 def product_width(parts: Sequence[ActionData]) -> WidthReport:
     """gromov_width(product_action(parts)), from the factors where it can be.
 
@@ -337,8 +329,7 @@ def product_width(parts: Sequence[ActionData]) -> WidthReport:
     if factors is None:
         return gromov_width(product_action(parts))
     tops = [_max_component(p) for p in factors]
-    gap = min(levels[0] - levels[1]
-              for levels in map(_levels_desc, factors) if len(levels) > 1)
+    gap = _smallest_gap(factors)
     top_labels = [_wrap_label(t.label) for t in tops]
     second = []
     for i, (factor, top) in enumerate(zip(factors, tops)):

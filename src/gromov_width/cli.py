@@ -13,18 +13,16 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import toric
 from .circle_action import (ISOLATED_MAX, MONOTONE_CONSISTENCY, SEMIFREE, ActionData,
-                            CheckResult, WidthReport, action_to_json, gromov_width,
-                            load_action, normalize_moment, product_action,
-                            product_checks, product_width, raw_level_gap,
-                            run_all_checks)
+                            CheckResult, action_to_json, load_action, normalize_moment,
+                            product_action, product_checks, product_level_gap,
+                            product_width)
 from .errors import Error, HypothesisFailed, HypothesisFailure, InvalidInput, NotMonotone
 from .grassmannian import GrassmannianSpec, grassmannian_action
 from .lattice import content
-from .polytope import load_polytope, monotone_normalize
+from .polytope import _fmt_point, load_polytope, monotone_normalize
 from .seidel import seidel_from_width
 from .serialize import point_to_json
 
@@ -45,24 +43,24 @@ class Source:
     children: tuple["Source", ...] = ()
 
 
+@dataclass(frozen=True)
 class Resolved:
-    """A resolved source.  A product keeps its resolved factors in parts and
-    builds the Cartesian action only when .action is first read."""
+    """A resolved source, held as its factors: a plain source is a product of
+    one.  width, check and seidel answer from the factors; only .action builds
+    the Cartesian product."""
 
-    def __init__(self, action: ActionData | None = None,
-                 spec: toric.SubcircleSpec | None = None,
-                 parts: tuple[ActionData, ...] | None = None):
-        if action is not None:
-            self.action = action
-        self.spec = spec      # present only for toric sources
-        self.parts = parts    # present only for product sources
+    parts: tuple[ActionData, ...]
+    spec: toric.SubcircleSpec | None = None     # present only for toric sources
 
-    @cached_property
+    @property
     def action(self) -> ActionData:
-        return product_action(self.parts)
+        return self.parts[0] if len(self.parts) == 1 else product_action(self.parts)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# Deepest parenthesis nesting a source expression may have; parsing recurses
+# once per level, so an unbounded depth would exhaust the interpreter's stack.
+_MAX_NESTING = 64
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -88,6 +86,8 @@ def _split_top(text: str) -> list[str]:
     for ch in text:
         if ch == "(":
             depth += 1
+            if depth > _MAX_NESTING:
+                raise InvalidInput(f"sources nest deeper than {_MAX_NESTING} levels")
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -136,15 +136,15 @@ def parse_source_expr(text: str) -> Source:
 
 def resolve(source: Source) -> Resolved:
     if source.kind == "action":
-        return Resolved(normalize_moment(load_action(source.path)))
+        return Resolved((normalize_moment(load_action(source.path)),))
     if source.kind == "grassmannian":
-        return Resolved(grassmannian_action(GrassmannianSpec(source.k, source.m)))
+        return Resolved((grassmannian_action(GrassmannianSpec(source.k, source.m)),))
     if source.kind == "toric":
         _, reflexive = monotone_normalize(load_polytope(source.path))
-        spec = toric.SubcircleSpec(source.direction, reflexive, source=str(source.path))
-        return Resolved(toric.toric_action(spec), spec)
+        spec = toric.SubcircleSpec(source.direction, reflexive)
+        return Resolved((toric.toric_action(spec),), spec)
     if source.kind == "product":
-        return Resolved(parts=tuple(resolve(c).action for c in source.children))
+        return Resolved(tuple(resolve(c).action for c in source.children))
     raise InvalidInput(f"unknown source kind {source.kind!r}")
 
 
@@ -193,15 +193,19 @@ def _source_from_args(args) -> Source:
     return Source("product", children=children)
 
 
+def _witness(resolved: Resolved, check: str, witness: str | None) -> str | None:
+    """A toric source names a semifree failure by its facet or face."""
+    if resolved.spec is not None and check == SEMIFREE:
+        return toric.semifree_witness(resolved.spec) or witness
+    return witness
+
+
 def _enrich(exc: HypothesisFailed, resolved: Resolved) -> HypothesisFailed:
-    """Upgrade a semifree witness to facet level for toric sources; add the gap."""
-    witness = exc.witness
-    if resolved.spec is not None and exc.check == SEMIFREE:
-        witness = toric.semifree_witness(resolved.spec) or witness
+    """Upgrade the witness of a toric source; add the gap."""
     gap = exc.raw_difference
     if gap is None:
-        gap = raw_level_gap(normalize_moment(resolved.action))
-    return HypothesisFailed(exc.check, witness, gap)
+        gap = product_level_gap(resolved.parts)
+    return HypothesisFailed(exc.check, _witness(resolved, exc.check, exc.witness), gap)
 
 
 def _failure_line(check: str, witness: str, gap) -> str:
@@ -211,14 +215,8 @@ def _failure_line(check: str, witness: str, gap) -> str:
     return line
 
 
-def _width_report(resolved: Resolved) -> WidthReport:
-    if resolved.parts is None:
-        return gromov_width(resolved.action)
-    return product_width(resolved.parts)
-
-
 def _run_width(resolved: Resolved) -> tuple[dict, str, int]:
-    report = _width_report(resolved)
+    report = product_width(resolved.parts)
     payload = {
         "command": "width",
         "width": report.width,
@@ -238,18 +236,9 @@ def _run_width(resolved: Resolved) -> tuple[dict, str, int]:
 
 
 def _run_check(resolved: Resolved) -> tuple[dict, str, int]:
-    if resolved.parts is None:
-        results = run_all_checks(resolved.action)
-    else:
-        results = product_checks(resolved.parts)
-    if resolved.spec is not None:
-        upgraded = []
-        for r in results:
-            if r.check == SEMIFREE and not r.passed:
-                witness = toric.semifree_witness(resolved.spec) or r.witness
-                r = CheckResult(r.check, False, witness)
-            upgraded.append(r)
-        results = upgraded
+    results = [r if r.passed else CheckResult(r.check, False,
+                                               _witness(resolved, r.check, r.witness))
+               for r in product_checks(resolved.parts)]
     lines = [f"{r.check}: PASS" if r.passed else f"{r.check}: FAIL ({r.witness})"
              for r in results]
     payload = {
@@ -261,7 +250,7 @@ def _run_check(resolved: Resolved) -> tuple[dict, str, int]:
     if not failed:
         lines.append("all hypotheses hold")
         return payload, "\n".join(lines), 0
-    gap = raw_level_gap(normalize_moment(resolved.action))
+    gap = product_level_gap(resolved.parts)
     payload["failure"] = {"check": failed[0].check, "witness": failed[0].witness,
                           "raw_difference": gap}
     lines.append(_failure_line(failed[0].check, failed[0].witness, gap))
@@ -294,7 +283,8 @@ def _run_edges(resolved: Resolved) -> tuple[dict, str, int]:
             "area": row.area,
             "lattice_length": row.lattice_length,
         })
-        lines.append(f"edge {_fmt(tail)} -> {_fmt(head)}: direction {_fmt(row.edge.direction)}, "
+        lines.append(f"edge {_fmt_point(tail)} -> {_fmt_point(head)}: "
+                     f"direction {_fmt_point(row.edge.direction)}, "
                      f"c1 = {row.c1}, area = {row.area}, lattice_length = {row.lattice_length}")
     if not lines:
         lines = ["no edges with nonzero weight"]
@@ -302,7 +292,7 @@ def _run_edges(resolved: Resolved) -> tuple[dict, str, int]:
 
 
 def _run_seidel(resolved: Resolved) -> tuple[dict, str, int]:
-    structure = seidel_from_width(_width_report(resolved))
+    structure = seidel_from_width(product_width(resolved.parts))
     payload = {
         "command": "seidel",
         "n": structure.n,
@@ -316,10 +306,6 @@ def _run_seidel(resolved: Resolved) -> tuple[dict, str, int]:
     for entry in sorted(structure.entries, key=lambda e: -e.index):
         lines.append(f"a_{entry.index}: {entry.status.value}")
     return payload, "\n".join(lines), 0
-
-
-def _fmt(seq) -> str:
-    return "(" + ", ".join(str(c) for c in seq) + ")"
 
 
 def _execute(args) -> tuple[dict, str, int]:

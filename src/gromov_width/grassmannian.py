@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circle_action import ActionData, FixedComponent, Provenance
+from .circle_action import ActionData, FixedComponent
 from .errors import InvalidRange
 
 
@@ -45,5 +45,4 @@ def grassmannian_action(spec: GrassmannianSpec) -> ActionData:
             weights=(-1,) * (k1 * (q - k2)) + (1,) * (k2 * (k - k1)),
             H=k1 * q - k2 * k,
         ))
-    return ActionData(n=k * q, components=tuple(comps),
-                      provenance=Provenance("grassmannian", f"k={k}, m={m}"))
+    return ActionData(n=k * q, components=tuple(comps))

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle_action import (SEMIFREE, ActionData, FixedComponent, Provenance,
-                            gradient_sphere_invariants)
+from .circle_action import SEMIFREE, ActionData, FixedComponent, gradient_sphere_invariants
 from .errors import (CrossCheckFailed, HypothesisFailed, InconsistentComponent,
                      InvalidInput, NotAVertex, ZeroVector)
 from .lattice import Vector, as_vector, content, pairing, quotient_order
@@ -28,7 +27,6 @@ class SubcircleSpec:
 
     xi: Vector
     polytope: DelzantPolytope
-    source: str = ""
 
     def __post_init__(self):
         xi = as_vector(self.xi)
@@ -167,11 +165,7 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
             H=-weight_sums.pop(),
         ))
     comps.sort(key=lambda c: (-c.H, c.label))
-    detail = "xi=" + _fmt_point(spec.xi).replace(" ", "")
-    if spec.source:
-        detail += f", polytope={spec.source}"
-    return ActionData(n=polytope.dim, components=tuple(comps),
-                      provenance=Provenance("toric", detail))
+    return ActionData(n=polytope.dim, components=tuple(comps))
 
 
 def _lattice_point(position) -> Vector:

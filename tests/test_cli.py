@@ -263,6 +263,22 @@ def test_source_grammar_errors():
     assert src.children[1].direction == (-1, -2)
 
 
+def nested(levels):
+    return "product(" * levels + "grassmannian(1,2)" + ")" * levels
+
+
+def test_source_nesting_is_bounded():
+    # nested(levels) has levels + 1 parentheses open at its deepest point
+    code, out = run_cli("width", "--product", nested(cli._MAX_NESTING - 1))
+    assert (code, out.splitlines()[0]) == (0, "Gromov width: 2")
+    for argv in (("width", "--product", nested(1200)),
+                 ("check", "--product", "grassmannian(1,2)," + nested(cli._MAX_NESTING)),
+                 ("fixed", "--product", nested(cli._MAX_NESTING), "--format", "json")):
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert "sources nest deeper than 64 levels" in out
+
+
 def test_json_width_payload():
     code, out = run_cli("width", "--toric", FIG1, "--dir", "0,1",
                         "--format", "json")

@@ -8,7 +8,8 @@ import pytest
 from gromov_width import circle_action, cli
 from gromov_width.circle_action import (ActionData, FixedComponent, action_to_json,
                                         gromov_width, product_action, product_checks,
-                                        product_width, run_all_checks)
+                                        product_level_gap, product_width, raw_level_gap,
+                                        run_all_checks)
 from gromov_width.errors import Error, InvalidInput
 from gromov_width.grassmannian import GrassmannianSpec, grassmannian_action
 
@@ -75,7 +76,7 @@ def scrambled(action, rng):
                             H=rng.choice((c.H, None, 99)))
              for c in action.components]
     rng.shuffle(comps)
-    return ActionData(action.n, tuple(comps), action.provenance)
+    return ActionData(action.n, tuple(comps))
 
 
 def outcome(fn, parts):
@@ -102,6 +103,9 @@ def test_product_width_matches_materialized_product():
         expected = outcome(lambda p: gromov_width(product_action(p)), parts)
         assert outcome(product_width, parts) == expected, parts
         answered += not isinstance(expected, tuple)
+        built = outcome(product_action, parts)
+        if isinstance(built, ActionData):
+            assert product_level_gap(parts) == raw_level_gap(built), parts
     assert answered > 60      # the mix must exercise the passing path as well
 
 
@@ -173,6 +177,39 @@ def test_cli_answers_large_products_from_factors(monkeypatch):
 def write_action(path, action):
     path.write_text(json.dumps(action_to_json(action)))
     return f"action({path})"
+
+
+FLAT = ActionData(2, (FixedComponent("flat", 0, (-1, 1)),))
+
+
+def test_cli_builds_a_failing_product_at_most_once(tmp_path, monkeypatch):
+    planted = write_action(tmp_path / "planted.json", planted_weight_two(3, 7))
+    flat = write_action(tmp_path / "flat.json", FLAT)
+    calls = count_product_actions(monkeypatch)
+    for expr, factors in ((f"grassmannian(3,7),grassmannian(3,7),{planted}", 3),
+                          (f"{flat},{flat}", 2)):
+        for command in ("width", "check", "seidel", "fixed"):
+            calls.clear()
+            code, out = run_cli(command, "--product", expr)
+            assert code == (0 if command == "fixed" else 1), out
+            assert [n for n in calls if n > 1] == [factors], (command, expr)
+
+
+def test_one_factor_product_prints_what_the_plain_source_prints(tmp_path):
+    sources = [(("--grassmannian", "2,4"), "grassmannian(2,4)")]
+    for name, action in (("gr.json", gr(2, 5)), ("planted.json", planted_weight_two(2, 4)),
+                         ("curve.json", curve_at_top(1, 4)), ("flat.json", FLAT)):
+        expr = write_action(tmp_path / name, action)
+        sources.append((("--action", str(tmp_path / name)), expr))
+    codes = set()
+    for plain, expr in sources:
+        for command in ("width", "check", "seidel", "fixed"):
+            for fmt in ("text", "json"):
+                want = run_cli(command, *plain, "--format", fmt)
+                assert run_cli(command, "--product", expr, "--format", fmt) == want, (
+                    command, expr, fmt)
+                codes.add(want[0])
+    assert codes == {0, 1}
 
 
 def test_cli_product_output_matches_materialized_action(tmp_path, monkeypatch):

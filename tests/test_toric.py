@@ -140,7 +140,6 @@ def test_toric_action_semifree_direction():
         ("p34", 0, (-1, 1), 0),
         ("D1", 1, (1,), -1),
     ]
-    assert action.provenance.kind == "toric"
     report = gromov_width(action)
     assert (report.width, report.H_max, report.s) == (2, 2, 0)
     assert report.max_component == "p23"
