@@ -10,14 +10,13 @@ checks pass the width is the gap between the two highest moment levels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from itertools import product as cartesian
-from pathlib import Path
 from typing import Sequence
 
 from .errors import (AmbiguousMax, CrossCheckFailed, EmptyProduct, HypothesisFailed,
                      InvalidInput, NotEnoughComponents, NotOrdered)
+from .serialize import load_json
 
 SEMIFREE = "semifree"
 ISOLATED_MAX = "isolated-max"
@@ -387,11 +386,7 @@ def action_from_json(data) -> ActionData:
 
 
 def load_action(path) -> ActionData:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
-    return action_from_json(data)
+    return action_from_json(load_json(path))
 
 
 def action_to_json(action: ActionData) -> dict:

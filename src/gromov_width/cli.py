@@ -65,9 +65,12 @@ _MAX_NESTING = 64
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     items = [p.strip() for p in text.split(",")]
-    if not all(_INTEGER.fullmatch(p) for p in items):
-        raise InvalidInput(f"{flag}: expected comma-separated integers, got {text!r}")
-    return tuple(int(p) for p in items)
+    if all(_INTEGER.fullmatch(p) for p in items):
+        try:
+            return tuple(int(p) for p in items)
+        except ValueError:      # more digits than the interpreter converts
+            pass
+    raise InvalidInput(f"{flag}: expected comma-separated integers, got {text!r}")
 
 
 def _parse_direction(text: str) -> tuple[int, ...]:

@@ -34,10 +34,6 @@ def content(v: Sequence[int]) -> int:
     return gcd(*(abs(c) for c in v))
 
 
-def is_primitive(v: Iterable[int]) -> bool:
-    return content(as_vector(v)) == 1
-
-
 def primitive_direction(v: Iterable[int]) -> Vector:
     """Shortest integer vector parallel to v with the same orientation."""
     v = as_vector(v)

@@ -14,19 +14,17 @@ lattice), which is the combinatorial face of monotonicity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import mul
-from pathlib import Path
 from typing import Sequence
 
 from .errors import Empty, InvalidInput, NotDelzant, NotMonotone, Unbounded
 from .lattice import Vector, as_vector, content
-from .serialize import fraction_from_json, fraction_to_json
+from .serialize import fraction_from_json, fraction_to_json, load_json
 
 Point = tuple[Fraction, ...]
 
@@ -160,43 +158,13 @@ def _cramer(rows: Sequence[Vector], rhs: Sequence[Sequence[int]]) -> tuple[int, 
     return prev, numerators
 
 
-def _feasible(facets: Sequence[HalfSpace], dim: int) -> bool:
-    """Exact Fourier-Motzkin test for a nonempty half-space intersection."""
-    cons = [([Fraction(c) for c in f.normal], Fraction(f.offset)) for f in facets]
-    for var in range(dim):
-        pos = [c for c in cons if c[0][var] > 0]
-        neg = [c for c in cons if c[0][var] < 0]
-        new = [c for c in cons if c[0][var] == 0]
-        for ca, ba in pos:
-            alpha = ca[var]
-            for cb, bb in neg:
-                beta = cb[var]
-                coeffs = [-beta * x + alpha * y for x, y in zip(ca, cb)]
-                new.append((coeffs, -beta * ba + alpha * bb))
-        cons = new
-    return all(b <= 0 for _, b in cons)
-
-
-def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
-    """All vertices in lexicographic order, with smoothness checks.
-
-    Offsets are scaled to integers by the lcm L of their denominators, and
-    every dim-subset of facets is solved by Cramer's rule: a nonsingular
-    subset with determinant d > 0 and numerators num has the solution
-    num / (d L), a vertex when <num, normal> >= (L offset) d for every facet,
-    and those facets meeting it with equality are active.  Fractions are built
-    only for the vertices found.  At each vertex exactly dim facets must be
-    active and their normals must form a Z-basis (d = 1); the edge directions
-    are the columns of the inverse normal matrix, read off the adjugate.
-    Raises Unbounded or Empty when there is no vertex to report, and
-    NotDelzant on smoothness failures.
-    """
-    n = polytope.dim
-    facets = polytope.facets
-    normals = [f.normal for f in facets]
-    scale, bounds = _scaled_offsets(facets)
+def _basic_points(normals: Sequence[Vector], bounds: Sequence[int], n: int,
+                  scale: int = 1) -> dict[Point, tuple[int, list[int]]]:
+    """Each feasible basic solution of <x, u> >= b / scale (rows u of length n),
+    mapped to (d, the rows it meets with equality): every nonsingular n-subset
+    of rows gives num / (d scale) by Cramer's rule, with d > 0."""
     found: dict[Point, tuple[int, list[int]]] = {}
-    for subset in combinations(range(len(facets)), n):
+    for subset in combinations(range(len(normals)), n):
         det, numerators = _cramer([normals[i] for i in subset],
                                   [[bounds[i] for i in subset]])
         if det == 0:
@@ -209,8 +177,52 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
             if point not in found:
                 found[point] = (det, [i for i, (u, b) in enumerate(zip(normals, bounds))
                                       if _dot(num, u) == b * det])
+    return found
+
+
+def _pivot_columns(rows: Sequence[Vector], n: int) -> list[int]:
+    """Pivot columns of the row echelon form, by fraction-free elimination."""
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n):
+        k = len(pivots)
+        swap = next((r for r in range(k, len(m)) if m[r][c] != 0), None)
+        if swap is None:
+            continue
+        m[k], m[swap] = m[swap], m[k]
+        pivot = m[k]
+        p = pivot[c]
+        for row in m[k + 1:]:
+            f = row[c]
+            for j in range(c, n):
+                row[j] = (p * row[j] - f * pivot[j]) // prev
+        prev = p
+        pivots.append(c)
+    return pivots
+
+
+def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
+    """All vertices in lexicographic order, with smoothness checks.
+
+    Offsets are scaled to integers by the lcm L of their denominators, and the
+    vertices are the feasible basic solutions; the facets they meet with
+    equality are active.  At each vertex exactly dim facets must be active
+    and their normals must form a Z-basis (d = 1); the edge directions are the
+    columns of the inverse normal matrix, read off the adjugate.  With no
+    vertex, a full-rank system is Empty; a lower-rank one contains a line and
+    is Unbounded exactly when the system on its pivot coordinates has a
+    feasible basic solution.  NotDelzant flags smoothness failures.
+    """
+    n = polytope.dim
+    facets = polytope.facets
+    normals = [f.normal for f in facets]
+    scale, bounds = _scaled_offsets(facets)
+    found = _basic_points(normals, bounds, n, scale)
     if not found:
-        if _feasible(facets, n):
+        pivots = _pivot_columns(normals, n)
+        if len(pivots) < n and _basic_points([tuple(u[c] for c in pivots) for u in normals],
+                                             bounds, len(pivots)):
             raise Unbounded("no vertex: the half-space intersection is unbounded")
         raise Empty("the half-space intersection is empty")
 
@@ -355,11 +367,7 @@ def polytope_from_json(data) -> DelzantPolytope:
 
 
 def load_polytope(path) -> DelzantPolytope:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
-    return polytope_from_json(data)
+    return polytope_from_json(load_json(path))
 
 
 def polytope_to_json(polytope: DelzantPolytope) -> dict:

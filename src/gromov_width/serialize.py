@@ -6,9 +6,19 @@ Integers stay plain JSON numbers; everything else crosses the boundary as a
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 from .errors import InvalidInput
+
+
+def load_json(path):
+    """The JSON document in the file; InvalidInput for bytes that are not one."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
 
 
 def fraction_to_json(x) -> int | str:

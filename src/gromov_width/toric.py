@@ -1,23 +1,27 @@
 """Circle actions carved out of the torus action on a monotone toric manifold.
 
 A primitive direction xi in the torus lattice restricts the torus action to
-a circle whose weight along each edge at a vertex is the pairing of xi with
-the edge direction.  Fixed components are combinatorial: vertices joined by
-zero-weight edges glue into groups, and each group fills the face whose
-toric subvariety the subcircle fixes pointwise.  Semifreeness is decided
-exactly, face by face, through lattice quotient orders.
+a circle whose weight along each edge at a vertex is w_j = <xi, e_j>.  The
+edge directions e_j are the dual basis of the active facet normals u_j, so
+xi = sum_j w_j u_j, and every toric fact is read off this one table of
+weights (Delzant 1988; Cox-Little-Schenck, Toric Varieties, 3.2): the fixed
+component through a vertex fills the face cut out by the facets with
+w_j != 0, its moment level is -sum_j w_j, and the isotropy order of the
+subcircle on the stratum of the face cut out by S is gcd{|w_j| : j not in S}.
+Semifreeness is decided exactly, face by face, from those orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .circle_action import SEMIFREE, ActionData, FixedComponent, gradient_sphere_invariants
 from .errors import (CrossCheckFailed, HypothesisFailed, InconsistentComponent,
                      InvalidInput, NotAVertex, ZeroVector)
-from .lattice import Vector, as_vector, content, pairing, quotient_order
-from .polytope import (DelzantPolytope, EdgeSegment, VertexFigure, _fmt_point,
+from .lattice import Vector, as_vector, content
+from .polytope import (DelzantPolytope, EdgeSegment, VertexFigure, _dot, _fmt_point,
                        in_reflexive_position)
 
 
@@ -44,12 +48,18 @@ class SubcircleSpec:
                 "polytope is not in reflexive position; run monotone_normalize first")
         object.__setattr__(self, "xi", xi)
 
+    @cached_property
+    def edge_weights(self) -> dict[VertexFigure, tuple[int, ...]]:
+        """<xi, e_j> per vertex, e_j dual to its j-th active facet in sorted order."""
+        return {v: tuple(_dot(self.xi, e) for e in v.edge_directions)
+                for v in self.polytope.vertices}
+
 
 def vertex_weights(spec: SubcircleSpec, vertex: VertexFigure) -> tuple[int, ...]:
     """Pairings of xi with the outgoing edge directions, zeros included."""
     if vertex not in spec.polytope.vertices:
         raise NotAVertex(f"{_fmt_point(vertex.position)} is not a vertex of the polytope")
-    return tuple(sorted(pairing(spec.xi, e) for e in vertex.edge_directions))
+    return tuple(sorted(spec.edge_weights[vertex]))
 
 
 @dataclass(frozen=True)
@@ -75,16 +85,16 @@ def isotropy_report(spec: SubcircleSpec) -> IsotropyReport:
     Entries are sorted by codimension then by facet indices, so the first
     violation is always on a face of least codimension.
     """
-    faces: set[tuple[int, ...]] = set()
-    for v in spec.polytope.vertices:
+    orders: dict[tuple[int, ...], int] = {}
+    for v, weights in spec.edge_weights.items():
         members = sorted(v.incident_facets)
         for bits in range(1 << len(members)):
-            faces.add(tuple(m for j, m in enumerate(members) if bits >> j & 1))
-    entries = []
-    for face in sorted(faces, key=lambda f: (len(f), f)):
-        normals = [spec.polytope.facets[i].normal for i in face]
-        entries.append(FaceIsotropy(face, quotient_order(spec.xi, normals)))
-    return IsotropyReport(tuple(entries))
+            face = tuple(m for j, m in enumerate(members) if bits >> j & 1)
+            if face not in orders:
+                orders[face] = gcd(*(abs(w) for j, w in enumerate(weights)
+                                     if not bits >> j & 1))
+    return IsotropyReport(tuple(FaceIsotropy(face, orders[face])
+                                for face in sorted(orders, key=lambda f: (len(f), f))))
 
 
 def face_label(polytope: DelzantPolytope, face: tuple[int, ...]) -> str:
@@ -110,58 +120,33 @@ def semifree_witness(spec: SubcircleSpec) -> str | None:
 def toric_action(spec: SubcircleSpec) -> ActionData:
     """Fixed-point data of the xi-subcircle on the toric manifold of the polytope.
 
-    Vertices connected by zero-weight edges form one fixed component; the
-    component fills the face common to the group, its complex dimension is
-    the face dimension, and the nonzero vertex weights (which must agree
-    across the group) are the normal weights.
+    Vertices whose nonzero weights cut out the same face form one fixed
+    component; the component fills that face, its complex dimension is the
+    face dimension, and the nonzero vertex weights (which must agree across
+    the group) are the normal weights.
     """
     polytope = spec.polytope
-    vertices = polytope.vertices
-    index_of = {v.position: i for i, v in enumerate(vertices)}
-
-    parent = list(range(len(vertices)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for edge in polytope.edges:
-        if pairing(spec.xi, edge.direction) == 0:
-            a, b = find(index_of[edge.tail.position]), find(index_of[edge.head.position])
-            if a != b:
-                parent[b] = a
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(vertices)):
-        groups.setdefault(find(i), []).append(i)
+    table = spec.edge_weights
+    groups: dict[frozenset[int], list[VertexFigure]] = {}
+    for v, weights in table.items():
+        face = frozenset(f for f, w in zip(sorted(v.incident_facets), weights) if w)
+        groups.setdefault(face, []).append(v)
 
     comps = []
-    for members in sorted(groups.values()):
-        group = [vertices[i] for i in members]
-        shared = frozenset.intersection(*(v.incident_facets for v in group))
-        face_dim = polytope.dim - len(shared)
-        filling = [v for v in vertices if shared <= v.incident_facets]
-        if len(filling) != len(group):
+    for face, group in groups.items():
+        if sum(face <= v.incident_facets for v in polytope.vertices) != len(group):
             raise InconsistentComponent(
                 f"zero-weight group at {_fmt_point(group[0].position)} "
                 "does not fill its face")
-        weight_sums = {sum(pairing(spec.xi, e) for e in v.edge_directions) for v in group}
+        weight_sums = {sum(table[v]) for v in group}
         if len(weight_sums) != 1:
             raise InconsistentComponent(
                 "vertices of one fixed component report different weight sums "
                 f"{sorted(weight_sums)}")
-        base = group[0]
-        raw = [pairing(spec.xi, e) for e in base.edge_directions]
-        if raw.count(0) != face_dim:
-            raise InconsistentComponent(
-                f"component at {_fmt_point(base.position)}: {raw.count(0)} tangent "
-                f"weights on a {face_dim}-dimensional face")
         comps.append(FixedComponent(
-            label=face_label(polytope, tuple(sorted(shared))),
-            complex_dim=face_dim,
-            weights=tuple(sorted(w for w in raw if w != 0)),
+            label=face_label(polytope, tuple(sorted(face))),
+            complex_dim=polytope.dim - len(face),
+            weights=tuple(sorted(w for w in table[group[0]] if w)),
             H=-weight_sums.pop(),
         ))
     comps.sort(key=lambda c: (-c.H, c.label))
@@ -175,7 +160,7 @@ def _lattice_point(position) -> Vector:
 
 
 def _vertex_component(spec: SubcircleSpec, vertex: VertexFigure, label: str) -> FixedComponent:
-    raw = [pairing(spec.xi, e) for e in vertex.edge_directions]
+    raw = spec.edge_weights[vertex]
     return FixedComponent(label=label, complex_dim=raw.count(0),
                           weights=tuple(w for w in raw if w != 0), H=-sum(raw))
 
@@ -201,12 +186,12 @@ def edge_cross_check(spec: SubcircleSpec) -> list[EdgeInvariants]:
         raise HypothesisFailed(SEMIFREE, witness)
     results = []
     for edge in spec.polytope.edges:
-        w = pairing(spec.xi, edge.direction)
+        w = _dot(spec.xi, edge.direction)
         if w == 0:
             continue
         lo, hi = edge.endpoints if w > 0 else (edge.endpoints[1], edge.endpoints[0])
-        h_lo = pairing(spec.xi, _lattice_point(lo.position))
-        h_hi = pairing(spec.xi, _lattice_point(hi.position))
+        h_lo = _dot(spec.xi, _lattice_point(lo.position))
+        h_hi = _dot(spec.xi, _lattice_point(hi.position))
         area = h_hi - h_lo
         c1, _ = gradient_sphere_invariants(
             _vertex_component(spec, lo, "x"), _vertex_component(spec, hi, "y"))

@@ -1,9 +1,10 @@
 """Independent brute-force oracles.
 
 Nothing here shares an algorithm with the library: determinants are Laplace
-expansions, vertices come from Cramer's rule, and isotropy orders are read
-off maximal minors or a literal mod-q membership scan.  Slow and tiny on
-purpose.
+expansions, vertices come from Cramer's rule, isotropy orders are read off
+maximal minors or a literal mod-q membership scan, feasibility comes from
+Fourier-Motzkin elimination, and fixed components from a union-find over
+zero-weight edges.  Slow and tiny on purpose.
 """
 
 from fractions import Fraction
@@ -97,3 +98,60 @@ def cramer_vertices(polytope):
         if all(sum(p * c for p, c in zip(point, f.normal)) >= f.offset for f in facets):
             positions.add(point)
     return positions
+
+
+def fourier_motzkin_feasible(facets, dim):
+    """Exact Fourier-Motzkin test for a nonempty half-space intersection.
+
+    The constraint count can square with every eliminated variable, so keep
+    the inputs small.
+    """
+    cons = [([Fraction(c) for c in f.normal], Fraction(f.offset)) for f in facets]
+    for var in range(dim):
+        pos = [c for c in cons if c[0][var] > 0]
+        neg = [c for c in cons if c[0][var] < 0]
+        new = [c for c in cons if c[0][var] == 0]
+        for ca, ba in pos:
+            alpha = ca[var]
+            for cb, bb in neg:
+                beta = cb[var]
+                coeffs = [-beta * x + alpha * y for x, y in zip(ca, cb)]
+                new.append((coeffs, -beta * ba + alpha * bb))
+        cons = new
+    return all(b <= 0 for _, b in cons)
+
+
+def union_find_components(xi, polytope):
+    """Fixed components as (label face, complex_dim, weights, H), by union-find.
+
+    Vertices joined by an edge of zero weight <xi, direction> glue into one
+    group; the group's face is the set of facets common to its vertices, its
+    weights the nonzero pairings at its first vertex and H minus their sum.
+    """
+    def pair(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    vertices = polytope.vertices
+    index_of = {v.position: i for i, v in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for edge in polytope.edges:
+        if pair(xi, edge.direction) == 0:
+            a = find(index_of[edge.tail.position])
+            b = find(index_of[edge.head.position])
+            parent[b] = a
+    groups = {}
+    for i, v in enumerate(vertices):
+        groups.setdefault(find(i), []).append(v)
+    comps = []
+    for group in groups.values():
+        face = tuple(sorted(frozenset.intersection(*(v.incident_facets for v in group))))
+        raw = [pair(xi, e) for e in group[0].edge_directions]
+        comps.append((face, polytope.dim - len(face),
+                      tuple(sorted(w for w in raw if w)), -sum(raw)))
+    return comps

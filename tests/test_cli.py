@@ -154,6 +154,36 @@ def test_boolean_complex_dim_rejected(tmp_path):
         assert out == "error: bot: complex_dim must be a nonnegative integer\n"
 
 
+HUGE = "7" * 5000     # past the interpreter's default limit of 4300 digits
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"n": ' + HUGE.encode() + b', "components": []}',
+    b'{"dim": 1, "facets": [{"normal": [1], "offset": ' + HUGE.encode() + b'}]}',
+    b'\xff\xfe{"n": 1, "components": []}',
+], ids=["deep", "huge-n", "huge-offset", "not-utf8"])
+@pytest.mark.parametrize("flag", ["--action", "--toric"])
+def test_malformed_json_file_exits_2(tmp_path, content, flag):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = ["width", flag, str(path)] + (["--dir", "1"] if flag == "--toric" else [])
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out.startswith(f"error: {path}: invalid JSON (")
+
+
+@pytest.mark.parametrize("argv", [
+    ["width", "--grassmannian", f"2,{HUGE}"],
+    ["width", "--toric", FIG1, "--dir", f"{HUGE},1"],
+    ["width", "--product", f"grassmannian(2,{HUGE})"],
+])
+def test_oversized_integer_argument_exits_2(argv):
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert "expected comma-separated integers, got" in out
+
+
 def test_dir_without_toric_rejected():
     code, out = run_cli("width", "--grassmannian", "2,4", "--dir", "1,0")
     assert code == 2

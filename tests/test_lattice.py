@@ -17,7 +17,6 @@ from gromov_width.lattice import (
     as_vector,
     basis_completion_transform,
     content,
-    is_primitive,
     pairing,
     primitive_direction,
     quotient_order,
@@ -31,9 +30,9 @@ def test_content_and_primitivity():
     assert content((2, 4)) == 2
     assert content((0, -3)) == 3
     assert content((0, 0, 0)) == 0
-    assert is_primitive((3, 5))
-    assert not is_primitive((2, 4))
-    assert not is_primitive((0, 0))
+    assert content((3, 5)) == 1
+    assert content((2, 4)) != 1
+    assert content((0, 0)) != 1
 
 
 def test_primitive_direction():
@@ -144,7 +143,7 @@ def test_primitive_direction_is_idempotent(coords):
     if not any(v):
         return
     p = primitive_direction(v)
-    assert is_primitive(p)
+    assert content(p) == 1
     assert primitive_direction(p) == p
     g = gcd(*(abs(c) for c in v))
     assert tuple(c * g for c in p) == v

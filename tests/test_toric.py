@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import gromov_width.lattice as lattice_module
 import gromov_width.polytope as polytope_module
+import gromov_width.toric as toric_module
 from gromov_width.circle_action import (SEMIFREE, gromov_width, normalize_moment,
                                         run_all_checks)
 from gromov_width.errors import (
@@ -15,7 +17,7 @@ from gromov_width.errors import (
     NotAVertex,
     ZeroVector,
 )
-from gromov_width.lattice import pairing
+from gromov_width.lattice import pairing, quotient_order
 from gromov_width.polytope import (
     DelzantPolytope,
     HalfSpace,
@@ -47,6 +49,7 @@ from generators import (
     transform_covector,
 )
 from helpers import primitive_box
+from oracles import union_find_components
 
 
 def reflexive_blowup():
@@ -277,3 +280,51 @@ def test_one_enumeration_per_request(monkeypatch, names, width):
     assert edge_cross_check(spec)
     seidel_structure(action)
     assert enumerated == [raw]
+
+
+# Scrambled products up to dimension 5, each with a few primitive directions.
+PRODUCTS = [("P1",), ("P2",), ("dP3",), ("P1", "P1"), ("dP1", "P1"), ("P2", "P1xP1"),
+            ("dP2", "P2"), ("P1", "P1", "P1", "P1"), ("dP3", "P2", "P1"),
+            ("P1", "P1", "P1", "P1", "P1")]
+
+
+def scrambled_specs(seed, directions=4):
+    rng = random.Random(seed)
+    for names in PRODUCTS:
+        _, _, poly, xi = scrambled_monotone_product(rng, names)
+        _, reflexive = monotone_normalize(poly)
+        box = primitive_box(reflexive.dim, 1 if reflexive.dim > 3 else 2)
+        for d in ([xi] if xi else []) + rng.sample(box, min(directions, len(box))):
+            yield SubcircleSpec(d, reflexive)
+
+
+def test_isotropy_orders_are_quotient_orders():
+    for spec in scrambled_specs(11):
+        for entry in isotropy_report(spec).entries:
+            normals = [spec.polytope.facets[i].normal for i in entry.face]
+            assert entry.order == quotient_order(spec.xi, normals), (spec.xi, entry)
+
+
+def test_toric_action_matches_union_find_oracle():
+    for spec in scrambled_specs(12):
+        expected = sorted((face_label(spec.polytope, face), dim, weights, H)
+                          for face, dim, weights, H in union_find_components(
+                              spec.xi, spec.polytope))
+        action = toric_action(spec)
+        assert sorted((c.label, c.complex_dim, c.weights, c.H)
+                      for c in action.components) == expected
+
+
+def test_toric_queries_need_no_basis_completion_and_no_edges(monkeypatch):
+    def forbid(module, name):
+        def called(*args):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(module, name, called, raising=False)
+
+    forbid(lattice_module, "quotient_order")
+    forbid(toric_module, "quotient_order")
+    forbid(polytope_module, "enumerate_edges")
+    for spec in scrambled_specs(13, directions=2):
+        toric_action(spec)
+        isotropy_report(spec)
+        semifree_witness(spec)
