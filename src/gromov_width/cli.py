@@ -327,14 +327,8 @@ def _execute(args) -> tuple[dict, str, int]:
         raise _enrich(exc, resolved) from None
 
 
-_parser = None     # built by the first main() call, not at import
-
-
-def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+def _respond(args) -> tuple[str, int]:
+    """The output of a command and its exit code, failures included."""
     try:
         payload, text, code = _execute(args)
     except HypothesisFailed as exc:
@@ -359,7 +353,33 @@ def main(argv=None) -> int:
                    "error": {"kind": type(exc).__name__, "message": str(exc)}}
         text = f"error: {exc}"
         code = 2
-    print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+    return json.dumps(payload, sort_keys=True) if args.format == "json" else text, code
+
+
+_parser = None     # built by the first main() call, not at import
+
+
+def main(argv=None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    try:
+        out, code = _respond(args)
+    except ValueError as exc:
+        # Input integers are bounded by the interpreter's digit limit, but a
+        # result computed from them (a level, a gap) can outgrow it, and then
+        # formatting it, in a message or in the output, raises.
+        if "integer string conversion" not in str(exc):
+            raise
+        message = (f"a number in the result has more than {sys.get_int_max_str_digits()} "
+                   "digits, too many to print")
+        out = (json.dumps({"command": args.command,
+                           "error": {"kind": "InvalidInput", "message": message}},
+                          sort_keys=True)
+               if args.format == "json" else f"error: {message}")
+        code = 2
+    print(out)
     return code
 
 

@@ -1,15 +1,18 @@
 """Delzant moment polytopes in half-space form.
 
 A polytope is a list of facets, each a primitive inward normal with a
-rational offset (constraint <x, normal> >= offset).  Vertex and edge
-enumeration run in exact integer arithmetic (offsets scaled by the lcm of
-their denominators, Cramer's rule by fraction-free elimination) and verify
-the smoothness condition at every vertex: exactly dim facets meet there and
-their normals form a Z-basis.  A polytope object enumerates itself at most
-once: its vertices and edges are computed on first use and kept on the
-object.  monotone_normalize decides whether some translation puts the
-polytope in reflexive position (every offset -1, all vertices on the
-lattice), which is the combinatorial face of monotonicity.
+rational offset (constraint <x, normal> >= offset).  Vertex enumeration runs
+in exact integer arithmetic (offsets scaled by the lcm of their
+denominators, Cramer's rule by fraction-free elimination) and verifies the
+smoothness condition at every vertex: exactly dim facets meet there and
+their normals form a Z-basis.  Everything else is read off the vertex
+figures: an edge joins the two vertices that share all but one active facet,
+and in reflexive position a vertex sits at minus the sum of its edge
+directions.  A polytope object enumerates itself at most once: its vertices
+and edges are computed on first use and kept on the object.
+monotone_normalize decides whether some translation puts the polytope in
+reflexive position (every offset -1, all vertices on the lattice), which is
+the combinatorial face of monotonicity.
 """
 
 from __future__ import annotations
@@ -117,12 +120,6 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
-def _scaled_offsets(facets: Sequence[HalfSpace], scale: int = 1) -> tuple[int, list[int]]:
-    """(L, [L * offset, ...]) with L the lcm of scale and every offset denominator."""
-    scale = lcm(scale, *(f.offset.denominator for f in facets))
-    return scale, [f.offset.numerator * (scale // f.offset.denominator) for f in facets]
-
-
 def _cramer(rows: Sequence[Vector], rhs: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(d, [adj(A) b for each b in rhs]) for the square integer matrix A = rows.
 
@@ -217,7 +214,8 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
     n = polytope.dim
     facets = polytope.facets
     normals = [f.normal for f in facets]
-    scale, bounds = _scaled_offsets(facets)
+    scale = lcm(*(f.offset.denominator for f in facets))
+    bounds = [f.offset.numerator * (scale // f.offset.denominator) for f in facets]
     found = _basic_points(normals, bounds, n, scale)
     if not found:
         pivots = _pivot_columns(normals, n)
@@ -256,61 +254,38 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
 def enumerate_edges(polytope: DelzantPolytope) -> list[EdgeSegment]:
     """Every bounded 1-face once, endpoints sorted, with exact lattice length.
 
-    Works on the vertices scaled by the lcm L of every offset and coordinate
-    denominator, so positions and facet slacks are integers.  The exit step
-    along an edge direction e is the least slack / -<e, normal> over the
-    facets e leaves through; the far endpoint is a vertex only if that step
-    is an integer multiple of 1/L, and the lattice length is the step.
+    Read off the vertex figures.  At a vertex v, the edge direction e_j stays
+    on every active facet but the j-th, so its edge is cut out by those
+    dim - 1 facets and its endpoints are the two vertices active on all of
+    them.  enumerate_vertices has checked that the polytope is simple,
+    unimodular and bounded (every edge ray leaves it) and that every facet
+    supports a vertex, so each such set of facets is shared by exactly two
+    vertices.  The lexicographically smaller one is the tail, the direction
+    is the tail's e_j, and the lattice length is (head - tail)_k / e_k for
+    any k with e_k != 0.  The vertices come in lexicographic order, so
+    sorting by their indices sorts the edges by (tail, head) position.
     """
     vertices = polytope.vertices
-    normals = [f.normal for f in polytope.facets]
-    scale = lcm(*(c.denominator for v in vertices for c in v.position))
-    scale, bounds = _scaled_offsets(polytope.facets, scale)
-    points = [tuple(c.numerator * (scale // c.denominator) for c in v.position)
-              for v in vertices]
-    by_point = dict(zip(points, vertices))
-    found: dict[tuple[Vector, Vector], tuple[Vector, Fraction]] = {}
-    for point, v in zip(points, vertices):
-        slacks = [_dot(point, u) - b for u, b in zip(normals, bounds)]
-        for e in v.edge_directions:
-            step_num, step_den = 0, 0
-            for u, s in zip(normals, slacks):
-                rate = -_dot(e, u)
-                if rate > 0 and (step_den == 0 or s * step_den < step_num * rate):
-                    step_num, step_den = s, rate
-            if step_num <= 0:
-                raise NotDelzant(f"degenerate edge at vertex {_fmt_point(v.position)}")
-            step, rem = divmod(step_num, step_den)
-            other = tuple(p + step * c for p, c in zip(point, e))
-            if rem or other not in by_point:
-                far = tuple(Fraction(p * step_den + step_num * c, scale * step_den)
-                            for p, c in zip(point, e))
-                raise NotDelzant(
-                    f"edge from {_fmt_point(v.position)} ends at the non-vertex "
-                    f"{_fmt_point(far)}")
-            if point < other:
-                key, direction = (point, other), e
-            else:
-                key, direction = (other, point), tuple(-c for c in e)
-            length = Fraction(step, scale)
-            prior = found.get(key)
-            if prior is not None and prior != (direction, length):
-                raise NotDelzant(
-                    f"edge {_fmt_point(by_point[key[0]].position)}-"
-                    f"{_fmt_point(by_point[key[1]].position)} "
-                    "reconstructed inconsistently from its endpoints")
-            found[key] = (direction, length)
-    return [EdgeSegment((by_point[k[0]], by_point[k[1]]), direction, length)
-            for k, (direction, length) in sorted(found.items())]
+    ends: dict[frozenset[int], list[tuple[int, Vector]]] = {}
+    for i, v in enumerate(vertices):
+        for f, e in zip(sorted(v.incident_facets), v.edge_directions):
+            ends.setdefault(v.incident_facets - {f}, []).append((i, e))
+    edges = []
+    for (i, e), (j, _) in sorted(ends.values(), key=lambda ab: (ab[0][0], ab[1][0])):
+        tail, head = vertices[i], vertices[j]
+        k = next(k for k, c in enumerate(e) if c)
+        edges.append(EdgeSegment((tail, head), e, (head.position[k] - tail.position[k]) / e[k]))
+    return edges
 
 
 def monotone_normalize(polytope: DelzantPolytope) -> tuple[Point, DelzantPolytope]:
     """The translation taking every facet offset to -1, plus the translated polytope.
 
-    Raises NotMonotone when no such translation exists or when a translated
-    vertex misses the lattice (reflexive position must be a lattice polytope).
-    The translated polytope is handed its vertices: the same vertex cones,
-    shifted by the translation, so it is never enumerated again.
+    Raises NotMonotone when no such translation exists.  The translated
+    polytope is handed its vertices, the same vertex cones at new positions,
+    so it is never enumerated again.  Once every offset is -1, the vertex
+    whose active normals u_j have the dual basis e_j sits at -sum_j e_j, so
+    every vertex is a lattice point.
     """
     vertices = polytope.vertices
     # The first vertex's normals are a Z-basis and its edge directions the dual
@@ -323,18 +298,14 @@ def monotone_normalize(polytope: DelzantPolytope) -> tuple[Point, DelzantPolytop
     if any(sum(t * a for t, a in zip(translation, f.normal)) != -1 - f.offset
            for f in polytope.facets):
         raise NotMonotone("no translation takes every facet offset to -1")
-    shifted = []
-    for v in vertices:
-        position = tuple(p + t for p, t in zip(v.position, translation))
-        if any(c.denominator != 1 for c in position):
-            raise NotMonotone(
-                f"vertex {_fmt_point(v.position)} translates to the non-lattice "
-                f"point {_fmt_point(position)}")
-        shifted.append(VertexFigure(position, v.incident_facets, v.edge_directions))
+    shifted = tuple(
+        VertexFigure(tuple(Fraction(-sum(c)) for c in zip(*v.edge_directions)),
+                     v.incident_facets, v.edge_directions)
+        for v in vertices)
     reflexive = DelzantPolytope(
         polytope.dim,
         tuple(HalfSpace(f.normal, Fraction(-1)) for f in polytope.facets))
-    vars(reflexive)["vertices"] = tuple(shifted)    # fills the cached_property
+    vars(reflexive)["vertices"] = shifted    # fills the cached_property
     return translation, reflexive
 
 

@@ -153,12 +153,6 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
     return ActionData(n=polytope.dim, components=tuple(comps))
 
 
-def _lattice_point(position) -> Vector:
-    if any(c.denominator != 1 for c in position):
-        raise InvalidInput(f"vertex {_fmt_point(position)} is not a lattice point")
-    return tuple(int(c) for c in position)
-
-
 def _vertex_component(spec: SubcircleSpec, vertex: VertexFigure, label: str) -> FixedComponent:
     raw = spec.edge_weights[vertex]
     return FixedComponent(label=label, complex_dim=raw.count(0),
@@ -190,9 +184,9 @@ def edge_cross_check(spec: SubcircleSpec) -> list[EdgeInvariants]:
         if w == 0:
             continue
         lo, hi = edge.endpoints if w > 0 else (edge.endpoints[1], edge.endpoints[0])
-        h_lo = _dot(spec.xi, _lattice_point(lo.position))
-        h_hi = _dot(spec.xi, _lattice_point(hi.position))
-        area = h_hi - h_lo
+        # reflexive vertices are lattice points: each coordinate is its numerator
+        area = _dot(spec.xi, [b.numerator - a.numerator
+                              for a, b in zip(lo.position, hi.position)])
         c1, _ = gradient_sphere_invariants(
             _vertex_component(spec, lo, "x"), _vertex_component(spec, hi, "y"))
         length = edge.lattice_length

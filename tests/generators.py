@@ -214,3 +214,29 @@ def random_isotropy_instance(rng, dim):
         if any(xi):
             break
     return xi, normals
+
+
+def random_simple_product(rng, dim):
+    """A scrambled product of simplices and intervals with random rational sizes.
+
+    A simplex block of size s is {x >= 0, sum x <= s}, an interval block is a
+    1-simplex.  The sizes have denominators 1 to 3 and the translation is
+    integral or rational, so offsets come out integral or with mixed
+    denominators; the result is Delzant but in general not monotone.
+    """
+    facets = []
+    start = 0
+    while start < dim:
+        size = rng.randint(1, min(3, dim - start))
+        block = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+        block.append(tuple([-1] * size))
+        offsets = [Fraction(0)] * size + [-Fraction(rng.randint(1, 6), rng.randint(1, 3))]
+        for normal, offset in zip(block, offsets):
+            full = [0] * dim
+            full[start:start + size] = normal
+            facets.append(HalfSpace(tuple(full), offset))
+        start += size
+    mat = random_unimodular(rng, dim)
+    translation = tuple(Fraction(rng.randrange(-9, 10), rng.choice([1, 1, 2, 3]))
+                        for _ in range(dim))
+    return transform_polytope(DelzantPolytope(dim, tuple(facets)), mat, translation)

@@ -3,13 +3,16 @@
 Nothing here shares an algorithm with the library: determinants are Laplace
 expansions, vertices come from Cramer's rule, isotropy orders are read off
 maximal minors or a literal mod-q membership scan, feasibility comes from
-Fourier-Motzkin elimination, and fixed components from a union-find over
-zero-weight edges.  Slow and tiny on purpose.
+Fourier-Motzkin elimination, fixed components from a union-find over
+zero-weight edges, and edges from exit steps along each vertex's edge
+directions.  Slow and tiny on purpose.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
+
+from gromov_width.polytope import EdgeSegment
 
 
 def laplace_det(matrix):
@@ -155,3 +158,48 @@ def union_find_components(xi, polytope):
         comps.append((face, polytope.dim - len(face),
                       tuple(sorted(w for w in raw if w)), -sum(raw)))
     return comps
+
+
+def exit_step_edges(polytope):
+    """Every edge by walking each edge direction to the first facet it leaves through.
+
+    Works on the vertices scaled by the lcm L of every offset and coordinate
+    denominator, so positions and facet slacks are integers.  The exit step
+    along an edge direction e is the least slack / -<e, normal> over the
+    facets e leaves through; the far endpoint must be a vertex, at an integer
+    multiple of 1/L, and the lattice length is the step.  Edges come sorted by
+    (tail, head) position, each found once from either end.
+    """
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    vertices = polytope.vertices
+    facets = polytope.facets
+    normals = [f.normal for f in facets]
+    scale = lcm(*(c.denominator for v in vertices for c in v.position),
+                *(f.offset.denominator for f in facets))
+    bounds = [f.offset.numerator * (scale // f.offset.denominator) for f in facets]
+    points = [tuple(c.numerator * (scale // c.denominator) for c in v.position)
+              for v in vertices]
+    by_point = dict(zip(points, vertices))
+    found = {}
+    for point, v in zip(points, vertices):
+        slacks = [dot(point, u) - b for u, b in zip(normals, bounds)]
+        for e in v.edge_directions:
+            step_num, step_den = 0, 0
+            for u, s in zip(normals, slacks):
+                rate = -dot(e, u)
+                if rate > 0 and (step_den == 0 or s * step_den < step_num * rate):
+                    step_num, step_den = s, rate
+            assert step_num > 0, "degenerate edge"
+            step, rem = divmod(step_num, step_den)
+            other = tuple(p + step * c for p, c in zip(point, e))
+            assert rem == 0 and other in by_point, "edge ends at a non-vertex"
+            if point < other:
+                key, direction = (point, other), e
+            else:
+                key, direction = (other, point), tuple(-c for c in e)
+            length = Fraction(step, scale)
+            assert found.setdefault(key, (direction, length)) == (direction, length)
+    return [EdgeSegment((by_point[k[0]], by_point[k[1]]), direction, length)
+            for k, (direction, length) in sorted(found.items())]

@@ -13,6 +13,8 @@ from gromov_width.errors import InvalidInput
 from helpers import DATA, EXPECTED, run_cli
 
 FIG1 = str(DATA / "fig1.json")
+# A scrambled P2 x P1 with rational offsets, for a 3-D toric source.
+P2XP1 = str(DATA / "p2xp1_scrambled.json")
 
 
 def test_width_grassmannian():
@@ -42,6 +44,18 @@ def test_edges_matches_fixture():
     code, out = run_cli("edges", "--toric", FIG1, "--dir", "0,1")
     assert code == 0
     assert out == (EXPECTED / "fig1_edges_0_1.txt").read_text()
+
+
+def test_3d_edges_matches_fixture():
+    code, out = run_cli("edges", "--toric", P2XP1, "--dir", "1,1,0")
+    assert code == 0
+    assert out == (EXPECTED / "p2xp1_edges_1_1_0.txt").read_text()
+
+
+def test_3d_fixed_json_matches_fixture():
+    code, out = run_cli("fixed", "--toric", P2XP1, "--dir", "1,1,0", "--format", "json")
+    assert code == 0
+    assert out == (EXPECTED / "p2xp1_fixed_1_1_0.json").read_text()
 
 
 def test_seidel_matches_fixture():
@@ -182,6 +196,49 @@ def test_oversized_integer_argument_exits_2(argv):
     code, out = run_cli(*argv)
     assert code == 2
     assert "expected comma-separated integers, got" in out
+
+
+def weighty_action(tmp_path, digits):
+    """An action file whose bottom component has two weights of 9s, each of the given length."""
+    w = "9" * digits
+    path = tmp_path / f"weights_{digits}.json"
+    path.write_text('{"n": 2, "components": [{"label": "top", "complex_dim": 0, '
+                    '"weights": [-1, -1]}, {"label": "bot", "complex_dim": 0, '
+                    f'"weights": [{w}, {w}]}}]}}')
+    return str(path)
+
+
+TOO_MANY_DIGITS = "a number in the result has more than 4300 digits, too many to print"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_result_too_long_to_print_exits_2(tmp_path, fmt):
+    # Each input integer has 4,300 digits, inside the interpreter's limit, but
+    # the moment level H = -(w1 + w2), or the width from --dir, has more.
+    runs = [[command, "--action", weighty_action(tmp_path, 4300)]
+            for command in ("width", "check", "fixed", "seidel")]
+    runs += [[command, "--toric", FIG1, f"--dir={'9' * 4300},1"]
+             for command in ("width", "check", "fixed", "edges")]
+    for argv in runs:
+        code, out = run_cli(*argv, "--format", fmt)
+        assert code == 2, argv
+        if fmt == "text":
+            assert out == f"error: {TOO_MANY_DIGITS}\n"
+        else:
+            assert json.loads(out) == {"command": argv[0], "error": {
+                "kind": "InvalidInput", "message": TOO_MANY_DIGITS}}
+
+
+def test_result_just_below_the_digit_limit_prints(tmp_path):
+    path = weighty_action(tmp_path, 4299)
+    level = -2 * int("9" * 4299)
+    code, out = run_cli("fixed", "--action", path)
+    assert code == 0
+    assert out.splitlines()[-1] == (f"bot: complex_dim 0, weights [{'9' * 4299}, "
+                                    f"{'9' * 4299}], H = {level}")
+    code, out = run_cli("width", "--action", path, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["check"] == "semifree"
 
 
 def test_dir_without_toric_rejected():

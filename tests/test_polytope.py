@@ -38,6 +38,7 @@ from gromov_width.polytope import (
 from generators import (
     REFLEXIVE_2D,
     random_delzant_3d,
+    random_simple_product,
     random_unimodular,
     reflexive_polytope,
     reflexive_product,
@@ -46,7 +47,7 @@ from generators import (
     transform_polytope,
 )
 from helpers import DATA
-from oracles import cramer_vertices, fourier_motzkin_feasible, laplace_det
+from oracles import cramer_vertices, exit_step_edges, fourier_motzkin_feasible, laplace_det
 
 FOUR_DIM_PRODUCTS = [("P2", "P2"), ("P1xP1", "dP1"), ("P1", "P1", "P1", "P1"),
                      ("P2", "P1", "P1"), ("dP3", "P1xP1")]
@@ -482,3 +483,71 @@ def test_reflexive_copy_is_handed_its_vertices():
         assert "vertices" in vars(reflexive)
         assert list(reflexive.vertices) == enumerate_vertices(fresh)
         assert list(reflexive.edges) == enumerate_edges(fresh)
+
+
+# Reflexive factor tuples of dimension 1 to 6 with at most 12 facets.
+EDGE_ORACLE_PRODUCTS = [("P1",), ("P2",), ("dP3",), ("P1", "P1"), ("P2", "P1"),
+                        ("dP2", "P1"), ("P1", "P1", "P1"), ("P2", "P2"),
+                        ("dP1", "P1xP1"), ("P2", "P1", "P1"), ("P1",) * 5,
+                        ("P2", "P2", "P1"), ("dP1", "P1", "P1", "P1"), ("P1",) * 6,
+                        ("P2", "P2", "P2")]
+
+
+def test_edges_match_exit_step_oracle():
+    rng = random.Random(60460)
+    checked = set()
+    for round_ in range(110):
+        dim = 1 + round_ % 6
+        polys = [random_simple_product(rng, dim)]
+        names = EDGE_ORACLE_PRODUCTS[round_ % len(EDGE_ORACLE_PRODUCTS)]
+        mat, shift, poly, _ = scrambled_monotone_product(rng, names)
+        translation, reflexive = monotone_normalize(poly)
+        assert translation == tuple(-s for s in shift)
+        assert reflexive.facets == transform_polytope(
+            reflexive_product(*names), mat, (0,) * poly.dim).facets
+        fresh = DelzantPolytope(reflexive.dim, reflexive.facets)
+        assert reflexive.vertices == fresh.vertices
+        polys += [poly, reflexive, fresh]
+        for p in polys:
+            assert enumerate_edges(p) == exit_step_edges(p)
+            checked.add((p.dim, all(f.offset.denominator == 1 for f in p.facets)))
+    assert checked == {(d, integral) for d in range(1, 7) for integral in (True, False)}
+
+
+def reflexive_scrambles():
+    rng = random.Random(60461)
+    segment = DelzantPolytope(1, (HalfSpace((1,), Fraction(1, 2)),
+                                  HalfSpace((-1,), Fraction(-5, 2))))
+    yield segment
+    for names in FOUR_DIM_PRODUCTS + [("P1",), ("dP3",), ("P2", "P1"), ("P1",) * 5,
+                                      ("P2", "dP1", "P1")]:
+        yield scrambled_monotone_product(rng, names)[2]
+
+
+def test_reflexive_vertices_are_minus_sum_of_edge_directions():
+    for poly in reflexive_scrambles():
+        _, reflexive = monotone_normalize(poly)
+        for v in reflexive.vertices:
+            assert all(c.denominator == 1 for c in v.position)
+            assert v.position == tuple(-sum(c) for c in zip(*v.edge_directions))
+        assert reflexive.vertices == tuple(enumerate_vertices(
+            DelzantPolytope(reflexive.dim, reflexive.facets)))
+
+
+def test_every_edge_joins_exactly_two_vertices():
+    for poly in reflexive_scrambles():
+        edges = enumerate_edges(poly)
+        assert len(edges) * 2 == len(poly.vertices) * poly.dim
+        for e in edges:
+            shared = e.tail.incident_facets & e.head.incident_facets
+            assert len(shared) == poly.dim - 1
+            assert sum(shared <= v.incident_facets for v in poly.vertices) == 2
+
+
+def test_cube_edges_have_length_two():
+    rng = random.Random(60462)
+    for k in range(1, 6):
+        _, _, poly, _ = scrambled_monotone_product(rng, ("P1",) * k)
+        edges = enumerate_edges(poly)
+        assert len(edges) == k * 2 ** (k - 1)
+        assert {e.lattice_length for e in edges} == {2}
