@@ -3,13 +3,15 @@
 Subcommands width | check | fixed | edges | seidel, each fed from one source:
 an action JSON file, a toric polytope JSON file plus a subcircle direction, a
 Grassmannian generator, or a product of sources.  Output is deterministic
-text or JSON.  Exit codes: 0 success, 1 hypothesis failure, 2 bad input.
+text or JSON.  Exit codes: 0 success, 1 hypothesis failure, 2 bad input,
+141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -357,6 +359,9 @@ def _respond(args) -> tuple[str, int]:
 
 
 _parser = None     # built by the first main() call, not at import
+# Exit code when the reader closes stdout early: 128 + SIGPIPE, what a shell
+# reports for a program that the closed pipe killed.
+_CLOSED_PIPE = 141
 
 
 def main(argv=None) -> int:
@@ -379,7 +384,17 @@ def main(argv=None) -> int:
                           sort_keys=True)
                if args.format == "json" else f"error: {message}")
         code = 2
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early, which is no hypothesis failure.
+        # Point stdout at devnull so the flush at interpreter exit does not
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _CLOSED_PIPE
     return code
 
 

@@ -12,14 +12,15 @@ directions.  A polytope object enumerates itself at most once: its vertices
 and edges are computed on first use and kept on the object.
 monotone_normalize decides whether some translation puts the polytope in
 reflexive position (every offset -1, all vertices on the lattice), which is
-the combinatorial face of monotonicity.
+the combinatorial face of monotonicity; it keeps its answer for the last few
+distinct polytopes, so equal polytopes parsed apart are enumerated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -278,6 +279,12 @@ def enumerate_edges(polytope: DelzantPolytope) -> list[EdgeSegment]:
     return edges
 
 
+# Polytopes whose normal form is kept across calls.  A sweep queries one
+# polytope with many directions in a row, so a few entries catch every repeat
+# while memory stays bounded whatever the number of requests.
+_NORMALIZED_KEPT = 16
+
+
 def monotone_normalize(polytope: DelzantPolytope) -> tuple[Point, DelzantPolytope]:
     """The translation taking every facet offset to -1, plus the translated polytope.
 
@@ -285,8 +292,17 @@ def monotone_normalize(polytope: DelzantPolytope) -> tuple[Point, DelzantPolytop
     polytope is handed its vertices, the same vertex cones at new positions,
     so it is never enumerated again.  Once every offset is -1, the vertex
     whose active normals u_j have the dual basis e_j sits at -sum_j e_j, so
-    every vertex is a lattice point.
+    every vertex is a lattice point.  The result is memoized on the
+    polytope's value (dim and facets), so equal polytopes share one
+    translation and one reflexive polytope, with its vertices and edges;
+    a failure is not memoized and raises again on the next call.
     """
+    return _normalized(polytope.dim, polytope.facets)
+
+
+@lru_cache(maxsize=_NORMALIZED_KEPT)
+def _normalized(dim: int, facets: tuple[HalfSpace, ...]) -> tuple[Point, DelzantPolytope]:
+    polytope = DelzantPolytope(dim, facets)
     vertices = polytope.vertices
     # The first vertex's normals are a Z-basis and its edge directions the dual
     # basis, so they fix the only candidate translation; every facet must agree.

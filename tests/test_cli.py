@@ -415,3 +415,20 @@ def test_subprocess_entry_point():
         capture_output=True, text=True)
     assert bad.returncode == 1
     assert bad.stdout.endswith("(diagnostic only)\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reader_closing_the_pipe_early_exits_141_quietly(fmt):
+    # the output (over 1 MB) outgrows the pipe buffer, so the CLI is still
+    # writing when the reader stops after 100 bytes and closes its end
+    with subprocess.Popen(
+            [sys.executable, "-m", "gromov_width.cli",
+             "fixed", "--grassmannian", "60,200", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait()
+    assert len(head) == 100
+    assert code == 141
+    assert stderr == b""

@@ -14,6 +14,7 @@ from math import gcd
 
 import pytest
 
+import gromov_width.polytope as polytope_module
 from gromov_width.errors import (
     Empty,
     InvalidInput,
@@ -23,6 +24,7 @@ from gromov_width.errors import (
 )
 from gromov_width.lattice import pairing
 from gromov_width.polytope import (
+    _NORMALIZED_KEPT,
     DelzantPolytope,
     HalfSpace,
     _cramer,
@@ -483,6 +485,69 @@ def test_reflexive_copy_is_handed_its_vertices():
         assert "vertices" in vars(reflexive)
         assert list(reflexive.vertices) == enumerate_vertices(fresh)
         assert list(reflexive.edges) == enumerate_edges(fresh)
+
+
+def count_enumerations(monkeypatch):
+    enumerated = []
+    real_enumerate_vertices = polytope_module.enumerate_vertices
+
+    def counting(polytope):
+        enumerated.append(polytope)
+        return real_enumerate_vertices(polytope)
+
+    monkeypatch.setattr(polytope_module, "enumerate_vertices", counting)
+    return enumerated
+
+
+def test_equal_polytopes_are_normalized_once(monkeypatch):
+    enumerated = count_enumerations(monkeypatch)
+    doc = polytope_to_json(scrambled_monotone_product(random.Random(60461), ("P2", "P1"))[2])
+    first, second = polytope_from_json(doc), polytope_from_json(doc)
+    assert first is not second
+    translation, reflexive = monotone_normalize(first)
+    again, shared = monotone_normalize(second)
+    assert again == translation
+    assert shared is reflexive
+    assert shared.edges is reflexive.edges
+    assert enumerated == [first]
+
+
+def test_normalize_memo_is_bounded(monkeypatch):
+    enumerated = count_enumerations(monkeypatch)
+    identity = [[1, 0], [0, 1]]
+    translates = [transform_polytope(reflexive_polytope("P2"), identity, (t, 0))
+                  for t in range(_NORMALIZED_KEPT + 1)]
+    for poly in translates:
+        monotone_normalize(poly)
+    assert len(enumerated) == _NORMALIZED_KEPT + 1
+    monotone_normalize(translates[-1])
+    assert len(enumerated) == _NORMALIZED_KEPT + 1
+    translation, _ = monotone_normalize(translates[0])
+    assert translation == (0, 0)
+    assert enumerated[-1] == translates[0] and len(enumerated) == _NORMALIZED_KEPT + 2
+
+
+@pytest.mark.parametrize("error, poly", [
+    (NotMonotone, DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)),
+                                      HalfSpace((-1, 0), Fraction(-2)),
+                                      HalfSpace((0, 1), Fraction(0)),
+                                      HalfSpace((0, -1), Fraction(-4))))),
+    (Empty, DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)),
+                                HalfSpace((-1, 0), Fraction(1))))),
+    (NotDelzant, DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)),
+                                     HalfSpace((0, 1), Fraction(0)),
+                                     HalfSpace((-1, -2), Fraction(-4))))),
+])
+def test_normalize_failures_are_not_memoized(monkeypatch, error, poly):
+    enumerated = count_enumerations(monkeypatch)
+    failures = []
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            monotone_normalize(poly)
+        failures.append((type(err.value), str(err.value)))
+    assert failures[0] == failures[1]
+    assert failures[0][0] is error
+    assert len(enumerated) == 2
 
 
 # Reflexive factor tuples of dimension 1 to 6 with at most 12 facets.

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -17,7 +19,7 @@ from gromov_width.errors import (
     NotAVertex,
     ZeroVector,
 )
-from gromov_width.lattice import pairing, quotient_order
+from gromov_width.lattice import content, pairing, quotient_order
 from gromov_width.polytope import (
     DelzantPolytope,
     HalfSpace,
@@ -31,6 +33,8 @@ from gromov_width.polytope import (
 from gromov_width.seidel import seidel_structure
 from gromov_width.toric import (
     SubcircleSpec,
+    _coprime_base,
+    _prime_to,
     edge_cross_check,
     face_label,
     isotropy_report,
@@ -44,11 +48,12 @@ from generators import (
     SEED_WIDTH,
     SEMIFREE_SEED_DIRECTION,
     reflexive_polytope,
+    reflexive_product,
     scrambled_monotone_2d,
     scrambled_monotone_product,
     transform_covector,
 )
-from helpers import primitive_box
+from helpers import DATA, primitive_box, run_cli
 from oracles import union_find_components
 
 
@@ -328,3 +333,125 @@ def test_toric_queries_need_no_basis_completion_and_no_edges(monkeypatch):
         toric_action(spec)
         isotropy_report(spec)
         semifree_witness(spec)
+
+
+def reference_witness(spec):
+    """The witness read off the exhaustive face-by-face isotropy report."""
+    bad = isotropy_report(spec).first_violation()
+    if bad is None:
+        return None
+    kind = "facet" if len(bad.face) == 1 else "face"
+    return f"{kind} {face_label(spec.polytope, bad.face)} isotropy order {bad.order}"
+
+
+# Coefficients of a direction in the facet normals at one vertex, so they are
+# that vertex's weights: 6, 10, 15 and 30 share primes pairwise, 210 has four,
+# and 10^40 + 1 is too large to factor by trial division.
+VERTEX_COEFFICIENTS = (0, 0, 1, -1, 2, -3, 6, -10, 15, 30, -210, 10**40 + 1)
+# Scrambled products of dimension 2 to 6, each with how many directions.
+WITNESS_PRODUCTS = [(("P2",), 200), (("dP1",), 200), (("dP3",), 200),
+                    (("P1", "P1"), 200), (("dP2",), 200), (("P1xP1", "P1"), 300),
+                    (("P2", "P1"), 300), (("dP3", "P1"), 300), (("P2", "P2"), 300),
+                    (("dP1", "P1", "P1"), 250), (("P2", "dP2"), 250),
+                    (("P1",) * 5, 120), (("dP3", "P2", "P1"), 120), (("P1",) * 6, 60),
+                    (("P2", "P2", "P1xP1"), 60)]
+
+
+def witness_specs(seed):
+    rng = random.Random(seed)
+    for names, count in WITNESS_PRODUCTS:
+        _, _, poly, _ = scrambled_monotone_product(rng, names)
+        _, reflexive = monotone_normalize(poly)
+        dim = reflexive.dim
+        directions = set()
+        while len(directions) < count:
+            if rng.random() < 0.3:
+                xi = tuple(rng.randrange(-7, 8) for _ in range(dim))
+            else:
+                v = rng.choice(reflexive.vertices)
+                normals = [reflexive.facets[i].normal for i in sorted(v.incident_facets)]
+                coefficients = [rng.choice(VERTEX_COEFFICIENTS) for _ in normals]
+                xi = tuple(sum(c * u[k] for c, u in zip(coefficients, normals))
+                           for k in range(dim))
+            if content(xi) == 1:
+                directions.add(xi)
+        for xi in sorted(directions):
+            yield SubcircleSpec(xi, reflexive)
+
+
+def test_semifree_witness_matches_isotropy_report():
+    specs = violations = 0
+    for spec in witness_specs(14):
+        expected = reference_witness(spec)
+        assert semifree_witness(spec) == expected, spec.xi
+        # an edge has order |w_j|, so semifree means unit weights
+        unit = all(abs(w) <= 1 for ws in spec.edge_weights.values() for w in ws)
+        assert (expected is None) == unit
+        specs += 1
+        violations += expected is not None
+    assert specs >= 3000
+    assert 2000 < violations < specs
+
+
+def test_coprime_base_groups_primes_by_the_numbers_they_divide():
+    numbers = {2**13000, 12, 6**5, 35, 143, 15 * (10**999 + 7), 10**40 + 1, 1}
+    base = _coprime_base(numbers)
+    assert all(b > 1 for b in base)
+    assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+    for n in numbers:
+        assert _prime_to(n, prod(base)) == 1
+        for b in base:
+            # b shares all of its primes with n or none
+            assert gcd(b, n) == 1 or _prime_to(b, n) == 1
+    # 11 and 13 divide only 143, so they stay together; 5 also divides the
+    # 1000-digit number and 7 does not, so 35 is split
+    assert sorted(b for b in base if b < 1000) == [3, 4, 5, 7, 143]
+
+
+def test_semifree_witness_on_weights_sharing_primes():
+    # at one vertex of the scrambled P2 x P1 the weights are 15 b, -10 and 6
+    # with b = 10^999 + 7 odd and prime to 3: every pair shares a prime, the
+    # three have none in common, and b is too large to factor
+    _, reflexive = monotone_normalize(
+        scrambled_monotone_product(random.Random(5), ("P2", "P1"))[2])
+    b = 10**999 + 7
+    for v in reflexive.vertices:
+        normals = [reflexive.facets[i].normal for i in sorted(v.incident_facets)]
+        for coefficients in [(15 * b, -10, 6), (6, 15 * b, -10), (-10, 6, 15 * b)]:
+            xi = tuple(sum(c * u[k] for c, u in zip(coefficients, normals))
+                       for k in range(3))
+            spec = SubcircleSpec(xi, reflexive)
+            assert max(len(str(abs(c))) for c in xi) >= 1000
+            assert sorted(spec.edge_weights[v]) == sorted(coefficients)
+            assert semifree_witness(spec) == reference_witness(spec) is not None
+
+
+def test_toric_requests_never_build_the_isotropy_report(monkeypatch):
+    def forbidden(spec):
+        raise AssertionError("isotropy_report called")
+
+    cube = reflexive_product(*("P1xP1",) * 4)
+    bad = SubcircleSpec((2, 1) + (0, 1) * 3, cube)
+    good = SubcircleSpec((1, 0) * 4, cube)
+    expected = reference_witness(bad)
+    assert expected == "face D3&D7&D11&D15 isotropy order 2"
+    monkeypatch.setattr(toric_module, "isotropy_report", forbidden)
+    assert semifree_witness(bad) == expected
+    assert semifree_witness(good) is None
+    for spec in (bad, good):
+        run_all_checks(toric_action(spec))
+    with pytest.raises(HypothesisFailed) as err:
+        edge_cross_check(bad)
+    assert err.value.witness == expected
+    assert edge_cross_check(good)
+    for spec in scrambled_specs(16, directions=2):
+        run_all_checks(toric_action(spec))
+        semifree_witness(spec)
+    for command in ("check", "width"):
+        code, out = run_cli(command, "--toric", str(DATA / "fig1.json"), "--dir", "0,1")
+        assert code == 0, out
+        code, out = run_cli(command, "--toric", str(DATA / "fig1.json"), "--dir=-1,-2")
+        assert code == 1 and "facet D3 isotropy order 2" in out, out
+        code, out = run_cli(command, "--toric", str(DATA / "p2xp1_scrambled.json"),
+                            "--dir", "1,1,0")
+        assert code in (0, 1), out
