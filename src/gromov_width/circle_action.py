@@ -257,22 +257,87 @@ def _wrap_label(label: str) -> str:
     return f"({label})" if " x " in label else label
 
 
+def _trusted_component(label: str, complex_dim: int, weights: tuple[int, ...],
+                       H: int) -> FixedComponent:
+    # A combination of validated components is valid by construction, and its
+    # weights come sorted; this skips the checks __post_init__ would repeat.
+    # Fields are set one by one, as the generated __init__ does: going through
+    # __dict__ would give each instance a dict of its own, about 200 bytes more.
+    comp = object.__new__(FixedComponent)
+    object.__setattr__(comp, "label", label)
+    object.__setattr__(comp, "complex_dim", complex_dim)
+    object.__setattr__(comp, "weights", weights)
+    object.__setattr__(comp, "H", H)
+    return comp
+
+
+def _factor_rows(part: ActionData, sep: str) -> list[tuple[str, int, tuple[int, ...], int]]:
+    return [(sep + _wrap_label(c.label), c.complex_dim, c.weights, c.H)
+            for c in part.components]
+
+
 def product_action(parts: Sequence[ActionData]) -> ActionData:
-    """Cartesian product: weights concatenate, moment values and n add."""
+    """Cartesian product: weights concatenate, moment values and n add.
+
+    The product is folded by prefix: each step extends every row (label,
+    complex_dim, weights, H) built so far by each component of the next
+    factor, so the rows come out in itertools.product order (first factor
+    outermost).  The last step makes the components themselves: each weight
+    tuple is sorted once, and the factors' validated components are not
+    validated again.
+    """
     if not parts:
         raise EmptyProduct("a product needs at least one factor")
     parts = [normalize_moment(p) for p in parts]
     if len(parts) == 1:
         return parts[0]
-    comps = []
-    for combo in cartesian(*(p.components for p in parts)):
-        comps.append(FixedComponent(
-            label=" x ".join(_wrap_label(c.label) for c in combo),
-            complex_dim=sum(c.complex_dim for c in combo),
-            weights=tuple(w for c in combo for w in c.weights),
-            H=sum(c.H for c in combo),
-        ))
-    return ActionData(n=sum(p.n for p in parts), components=tuple(comps))
+    rows = _factor_rows(parts[0], "")
+    for part in parts[1:-1]:
+        step = _factor_rows(part, " x ")
+        rows = [(label + l, dim + d, weights + w, H + h)
+                for label, dim, weights, H in rows for l, d, w, h in step]
+    step = _factor_rows(parts[-1], " x ")
+    return ActionData(n=sum(p.n for p in parts), components=tuple(
+        _trusted_component(label + l, dim + d, tuple(sorted(weights + w)), H + h)
+        for label, dim, weights, H in rows for l, d, w, h in step))
+
+
+def _joins_unambiguously(label: str) -> bool:
+    """Whether a wrapped label can be read back out of any " x " join.
+
+    It can when its parentheses are balanced, it has no " x " at depth 0, and
+    it neither starts nor ends with an x or a space.  In a join of such
+    labels the depth-0 " x " are exactly the separators, so distinct
+    combinations join to distinct strings.
+    """
+    if label[0] in " x" or label[-1] in " x":
+        return False
+    depth = 0
+    for i, ch in enumerate(label):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+        elif depth == 0 and label.startswith(" x ", i):
+            return False
+    return depth == 0
+
+
+def _joins_distinct(labels: Sequence[Sequence[str]]) -> bool:
+    """Whether every combination of the wrapped labels, one per group, joins
+    with " x " to a different string; each group's labels are distinct.
+
+    O(sum of the group sizes) when every label joins unambiguously; otherwise
+    the joins are counted exactly.
+    """
+    if all(_joins_unambiguously(l) for group in labels for l in group):
+        return True
+    combos = 1
+    for group in labels:
+        combos *= len(group)
+    return len({" x ".join(combo) for combo in cartesian(*labels)}) == combos
 
 
 def _lemma_factors(parts: Sequence[ActionData]) -> list[ActionData] | None:
@@ -282,7 +347,7 @@ def _lemma_factors(parts: Sequence[ActionData]) -> list[ActionData] | None:
     so is the product; its levels are the sums of factor levels, so its top is
     the sum of the factor tops and its next level sits the smallest factor gap
     below.  That holds only for a product that product_action can build, so
-    the joined labels must be distinct; they are counted exactly.  None when a
+    the joined labels must be distinct (_joins_distinct).  None when a
     condition fails, when there is a single factor, or when no factor has a
     second level: the caller then builds the product.
     """
@@ -296,11 +361,7 @@ def _lemma_factors(parts: Sequence[ActionData]) -> list[ActionData] | None:
         return None
     if all(len(p.components) == 1 for p in parts):
         return None
-    labels = [[_wrap_label(c.label) for c in p.components] for p in parts]
-    combos = 1
-    for group in labels:
-        combos *= len(group)
-    if len({" x ".join(combo) for combo in cartesian(*labels)}) != combos:
+    if not _joins_distinct([[_wrap_label(c.label) for c in p.components] for p in parts]):
         return None
     return parts
 

@@ -3,8 +3,9 @@
 Subcommands width | check | fixed | edges | seidel, each fed from one source:
 an action JSON file, a toric polytope JSON file plus a subcircle direction, a
 Grassmannian generator, or a product of sources.  Output is deterministic
-text or JSON.  Exit codes: 0 success, 1 hypothesis failure, 2 bad input,
-141 when the reader closes stdout early.
+text or JSON.  Exit codes: 0 success, 1 hypothesis failure, 2 bad input
+(including an action too large for memory), 141 when the reader closes
+stdout early.
 """
 
 from __future__ import annotations
@@ -266,9 +267,14 @@ def _run_fixed(action: ActionData) -> tuple[dict, str, int]:
     data = action_to_json(action)
     payload = {"command": "fixed", "n": data["n"], "components": data["components"]}
     lines = [f"n = {data['n']}"]
+    shown = {}      # a product repeats weight lists: format each one once
     for comp in data["components"]:
+        key = tuple(comp["weights"])
+        weights = shown.get(key)
+        if weights is None:
+            weights = shown[key] = str(comp["weights"])
         lines.append(f"{comp['label']}: complex_dim {comp['complex_dim']}, "
-                     f"weights {comp['weights']}, H = {comp['H']}")
+                     f"weights {weights}, H = {comp['H']}")
     return payload, "\n".join(lines), 0
 
 
@@ -358,6 +364,14 @@ def _respond(args) -> tuple[str, int]:
     return json.dumps(payload, sort_keys=True) if args.format == "json" else text, code
 
 
+def _refusal(args, kind: str, message: str) -> tuple[str, int]:
+    """Exit 2 with a one-line message, for a failure raised outside _respond."""
+    if args.format == "json":
+        return json.dumps({"command": args.command,
+                           "error": {"kind": kind, "message": message}}, sort_keys=True), 2
+    return f"error: {message}", 2
+
+
 _parser = None     # built by the first main() call, not at import
 # Exit code when the reader closes stdout early: 128 + SIGPIPE, what a shell
 # reports for a program that the closed pipe killed.
@@ -377,13 +391,14 @@ def main(argv=None) -> int:
         # formatting it, in a message or in the output, raises.
         if "integer string conversion" not in str(exc):
             raise
-        message = (f"a number in the result has more than {sys.get_int_max_str_digits()} "
-                   "digits, too many to print")
-        out = (json.dumps({"command": args.command,
-                           "error": {"kind": "InvalidInput", "message": message}},
-                          sort_keys=True)
-               if args.format == "json" else f"error: {message}")
-        code = 2
+        out, code = _refusal(args, "InvalidInput",
+                             f"a number in the result has more than "
+                             f"{sys.get_int_max_str_digits()} digits, too many to print")
+    except MemoryError:
+        # A short input can describe more than fits in memory: each isolated
+        # fixed point of Gr(k, 3k) carries 2k^2 weights.
+        out, code = _refusal(args, "MemoryError",
+                             "out of memory: the input describes too large an action")
     try:
         print(out)
         sys.stdout.flush()

@@ -69,7 +69,7 @@ class EmptyProduct(InvalidInput):
     """A product of zero actions was requested."""
 
 
-class InconsistentComponent(Error):
+class InconsistentComponent(InvalidInput):
     """Vertices of one fixed component disagree about its weight data."""
 
 

@@ -4,14 +4,17 @@ Nothing here shares an algorithm with the library: determinants are Laplace
 expansions, vertices come from Cramer's rule, isotropy orders are read off
 maximal minors or a literal mod-q membership scan, feasibility comes from
 Fourier-Motzkin elimination, fixed components from a union-find over
-zero-weight edges, and edges from exit steps along each vertex's edge
-directions.  Slow and tiny on purpose.
+zero-weight edges, edges from exit steps along each vertex's edge
+directions, and a product from every combination of its factors' components,
+each validated again.  Slow and tiny on purpose.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
+from gromov_width.circle_action import ActionData, FixedComponent, normalize_moment
+from gromov_width.errors import EmptyProduct
 from gromov_width.polytope import EdgeSegment
 
 
@@ -203,3 +206,27 @@ def exit_step_edges(polytope):
             assert found.setdefault(key, (direction, length)) == (direction, length)
     return [EdgeSegment((by_point[k[0]], by_point[k[1]]), direction, length)
             for k, (direction, length) in sorted(found.items())]
+
+
+def materialized_product(parts):
+    """The product of actions, built from itertools.product of their components.
+
+    Each combination goes through the public FixedComponent constructor, which
+    sorts and validates its weights again; labels join with " x ", a label
+    that already holds " x " in parentheses.
+    """
+    if not parts:
+        raise EmptyProduct("a product needs at least one factor")
+    parts = [normalize_moment(p) for p in parts]
+    if len(parts) == 1:
+        return parts[0]
+
+    def wrap(label):
+        return f"({label})" if " x " in label else label
+
+    comps = [FixedComponent(label=" x ".join(wrap(c.label) for c in combo),
+                            complex_dim=sum(c.complex_dim for c in combo),
+                            weights=tuple(w for c in combo for w in c.weights),
+                            H=sum(c.H for c in combo))
+             for combo in product(*(p.components for p in parts))]
+    return ActionData(n=sum(p.n for p in parts), components=tuple(comps))

@@ -8,7 +8,7 @@ import pytest
 
 from gromov_width import cli
 from gromov_width.cli import main, parse_source_expr
-from gromov_width.errors import InvalidInput
+from gromov_width.errors import InconsistentComponent, InvalidInput
 
 from helpers import DATA, EXPECTED, run_cli
 
@@ -239,6 +239,31 @@ def test_result_just_below_the_digit_limit_prints(tmp_path):
     code, out = run_cli("width", "--action", path, "--format", "json")
     assert code == 1
     assert json.loads(out)["error"]["check"] == "semifree"
+
+
+OUT_OF_MEMORY = "out of memory: the input describes too large an action"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_out_of_memory_exits_2_with_one_line(monkeypatch, fmt):
+    # Stands in for an action too large to hold, such as Gr(1000, 3000),
+    # without allocating it.
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "grassmannian_action", exhausted)
+    for command in ("width", "check", "fixed", "seidel"):
+        code, out = run_cli(command, "--grassmannian", "1000,3000", "--format", fmt)
+        assert code == 2, command
+        if fmt == "text":
+            assert out == f"error: {OUT_OF_MEMORY}\n"
+        else:
+            assert json.loads(out) == {"command": command, "error": {
+                "kind": "MemoryError", "message": OUT_OF_MEMORY}}
+
+
+def test_inconsistent_component_is_invalid_input():
+    assert issubclass(InconsistentComponent, InvalidInput)
 
 
 def test_dir_without_toric_rejected():

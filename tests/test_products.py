@@ -1,5 +1,7 @@
 """Products answered from their factors agree with the materialized product."""
 
+import hashlib
+import itertools
 import json
 import random
 
@@ -10,10 +12,11 @@ from gromov_width.circle_action import (ActionData, FixedComponent, action_to_js
                                         gromov_width, product_action, product_checks,
                                         product_level_gap, product_width, raw_level_gap,
                                         run_all_checks)
-from gromov_width.errors import Error, InvalidInput
+from gromov_width.errors import EmptyProduct, Error, InvalidInput
 from gromov_width.grassmannian import GrassmannianSpec, grassmannian_action
 
 from helpers import DATA, run_cli
+from oracles import materialized_product
 
 FIG1 = str(DATA / "fig1.json")
 
@@ -100,10 +103,10 @@ def random_products(seed, count):
 def test_product_width_matches_materialized_product():
     answered = 0
     for parts in random_products(4096, 300):
-        expected = outcome(lambda p: gromov_width(product_action(p)), parts)
+        expected = outcome(lambda p: gromov_width(materialized_product(p)), parts)
         assert outcome(product_width, parts) == expected, parts
         answered += not isinstance(expected, tuple)
-        built = outcome(product_action, parts)
+        built = outcome(materialized_product, parts)
         if isinstance(built, ActionData):
             assert product_level_gap(parts) == raw_level_gap(built), parts
     assert answered > 60      # the mix must exercise the passing path as well
@@ -111,8 +114,92 @@ def test_product_width_matches_materialized_product():
 
 def test_product_checks_match_materialized_product():
     for parts in random_products(77, 300):
-        expected = outcome(lambda p: run_all_checks(product_action(p)), parts)
+        expected = outcome(lambda p: run_all_checks(materialized_product(p)), parts)
         assert outcome(product_checks, parts) == expected, parts
+
+
+def test_product_action_matches_materialized_product():
+    built = failed = 0
+    for parts in random_products(31, 300):
+        expected = outcome(materialized_product, parts)
+        got = outcome(product_action, parts)
+        assert got == expected, parts
+        if isinstance(expected, ActionData):
+            built += 1
+            # every component is a FixedComponent whose weights come sorted
+            assert all(type(c) is FixedComponent and list(c.weights) == sorted(c.weights)
+                       for c in got.components)
+        else:
+            failed += 1
+    assert built > 200 and failed > 10
+    assert outcome(product_action, []) == outcome(materialized_product, []) == (
+        EmptyProduct, "a product needs at least one factor", None)
+
+
+def test_duplicate_label_message_names_the_first_duplicate():
+    # Two labels repeat, "a x x b" and "c x x b".  With the first factor
+    # outermost, "a" x "x b" comes before either "c x" combination; with the
+    # last factor outermost, "c x" x "b" would come first.
+    parts = [ActionData(1, (FixedComponent("a", 0, (-1,)), FixedComponent("c x", 0, (1,)),
+                            FixedComponent("a x", 0, (1,)), FixedComponent("c", 0, (1,)))),
+             ActionData(1, (FixedComponent("b", 0, (-1,)), FixedComponent("x b", 0, (1,))))]
+    for build in (product_action, materialized_product):
+        with pytest.raises(InvalidInput) as info:
+            build(parts)
+        assert str(info.value) == "duplicate component label 'a x x b'"
+
+
+def joins_distinct_exactly(groups):
+    combos = 1
+    for group in groups:
+        combos *= len(group)
+    return len({" x ".join(combo) for combo in itertools.product(*groups)}) == combos
+
+
+def fuzz_label(rng):
+    return "".join(rng.choice(("x", " ", "(", ")", " x ")) if rng.random() < 0.1
+                   else rng.choice(("a", "b", "(a)", "a x b"))
+                   for _ in range(rng.randint(1, 3)))
+
+
+def test_label_condition_never_accepts_a_collision():
+    rng = random.Random(2024)
+    accepted = rejected = 0
+    for _ in range(2000):
+        groups = [sorted({circle_action._wrap_label(fuzz_label(rng))
+                          for _ in range(rng.randint(1, 3))})
+                  for _ in range(rng.randint(2, 3))]
+        exact = joins_distinct_exactly(groups)
+        if all(circle_action._joins_unambiguously(l) for group in groups for l in group):
+            accepted += 1
+            assert exact, groups
+        else:
+            rejected += 1
+        assert circle_action._joins_distinct(groups) == exact, groups
+    assert accepted > 500 and rejected > 500
+
+
+# Wrapped label groups with two combinations that join to the same string.
+COLLISIONS = [
+    [["a x", "a"], ["b", "x b"]],                       # "a x x b"
+    [["(p) x (q)", "(p)"], ["(r)", "(q) x (r)"]],       # "(p) x (q) x (r)"
+]
+
+
+def test_constructed_collisions_are_rejected_and_counted():
+    for groups in COLLISIONS:
+        assert not all(circle_action._joins_unambiguously(l) for g in groups for l in g)
+        assert not joins_distinct_exactly(groups)
+        assert not circle_action._joins_distinct(groups)
+    # the condition rejects "a x", but these joins are distinct: the count decides
+    assert circle_action._joins_distinct([["a", "a x"], ["c"]])
+    # the raw labels behind the parenthesized collision fall back to the same error
+    parts = [ActionData(1, (FixedComponent("p) x (q", 0, (-1,)), FixedComponent("(p)", 0, (1,)))),
+             ActionData(1, (FixedComponent("(r)", 0, (-1,)), FixedComponent("q) x (r", 0, (1,))))]
+    for fn in (product_width, product_checks, product_action):
+        with pytest.raises(InvalidInput) as info:
+            fn(parts)
+        assert str(info.value) == "duplicate component label '(p) x (q) x (r)'"
 
 
 def test_label_collision_falls_back_to_the_same_error():
@@ -172,6 +259,42 @@ def test_cli_answers_large_products_from_factors(monkeypatch):
                        + ["Gr(3,3)xGr(0,4)"] * (5 - i))
             for i in range(6)) + ")",
     ]
+
+
+def test_many_factors_answer_without_combinations(monkeypatch):
+    # 2^40 combinations: any walk over them, built or joined, fails here
+    def forbidden(*groups):
+        raise AssertionError("product combinations enumerated")
+
+    monkeypatch.setattr(circle_action, "cartesian", forbidden)
+    calls = count_product_actions(monkeypatch)
+    expr = ",".join(["grassmannian(1,2)"] * 40)
+    top, low = "Gr(1,1)xGr(0,1)", "Gr(0,1)xGr(1,1)"
+    code, out = run_cli("width", "--product", expr)
+    assert code == 0, out
+    assert out.splitlines()[:2] == ["Gromov width: 2",
+                                    "H(F_max) = 40 (" + " x ".join([top] * 40) + ")"]
+    assert out.splitlines()[2].count(low) == 40
+    for command in ("check", "seidel"):
+        code, out = run_cli(command, "--product", expr)
+        assert code == 0, out
+    assert calls == []
+
+
+# The 648-component product of the benchmark's fixed template, with its
+# action-file factor as the Grassmannian it was written from.
+FIXED_648 = ("grassmannian(2,5),grassmannian(2,4),grassmannian(2,6),grassmannian(1,4),"
+             "product(grassmannian(2,5),grassmannian(3,6))")
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "8aba39c1ee6b6561f680d12ee2671e4608d22a4836068298417d64a93f236ee7"),
+    ("json", "0e699e7a9da0e773378b7c99927c4dff7934e3844f59f3433c37186c7946f6cc"),
+])
+def test_fixed_output_of_a_648_component_product_is_pinned(fmt, digest):
+    code, out = run_cli("fixed", "--product", FIXED_648, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def write_action(path, action):
@@ -235,9 +358,9 @@ def test_cli_product_output_matches_materialized_action(tmp_path, monkeypatch):
             for expr in expressions for fmt in ("text", "json")]
     fast = [run_cli(c, "--product", e, "--format", f) for c, e, f in runs]
     monkeypatch.setattr(cli, "product_width",
-                        lambda parts: gromov_width(product_action(parts)))
+                        lambda parts: gromov_width(materialized_product(parts)))
     monkeypatch.setattr(cli, "product_checks",
-                        lambda parts: run_all_checks(product_action(parts)))
+                        lambda parts: run_all_checks(materialized_product(parts)))
     materialized = [run_cli(c, "--product", e, "--format", f) for c, e, f in runs]
     for run, got, want in zip(runs, fast, materialized):
         assert got == want, run
