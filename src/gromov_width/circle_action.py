@@ -450,10 +450,15 @@ def load_action(path) -> ActionData:
     return action_from_json(load_json(path))
 
 
+def _listing(action: ActionData) -> tuple[ActionData, list[FixedComponent]]:
+    """The moment-normalized action and its components by descending H, then label."""
+    action = normalize_moment(action)
+    return action, sorted(action.components, key=lambda c: (-c.H, c.label))
+
+
 def action_to_json(action: ActionData) -> dict:
     """Serializable form, components sorted by descending H then label."""
-    action = normalize_moment(action)
-    comps = sorted(action.components, key=lambda c: (-c.H, c.label))
+    action, comps = _listing(action)
     return {
         "n": action.n,
         "components": [{"label": c.label, "complex_dim": c.complex_dim,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import toric
 from .circle_action import (ISOLATED_MAX, MONOTONE_CONSISTENCY, SEMIFREE, ActionData,
-                            CheckResult, action_to_json, load_action, normalize_moment,
+                            CheckResult, _listing, action_to_json, load_action, normalize_moment,
                             product_action, product_checks, product_level_gap,
                             product_width)
 from .errors import Error, HypothesisFailed, HypothesisFailure, InvalidInput, NotMonotone
@@ -263,19 +263,21 @@ def _run_check(resolved: Resolved) -> tuple[dict, str, int]:
     return payload, "\n".join(lines), 1
 
 
-def _run_fixed(action: ActionData) -> tuple[dict, str, int]:
-    data = action_to_json(action)
-    payload = {"command": "fixed", "n": data["n"], "components": data["components"]}
-    lines = [f"n = {data['n']}"]
+def _run_fixed(action: ActionData, as_json: bool) -> tuple[dict | None, str | None, int]:
+    # only the form asked for is built; the other is None
+    if as_json:
+        data = action_to_json(action)
+        return {"command": "fixed", "n": data["n"], "components": data["components"]}, None, 0
+    action, comps = _listing(action)
+    lines = [f"n = {action.n}"]
     shown = {}      # a product repeats weight lists: format each one once
-    for comp in data["components"]:
-        key = tuple(comp["weights"])
-        weights = shown.get(key)
+    for comp in comps:
+        weights = shown.get(comp.weights)
         if weights is None:
-            weights = shown[key] = str(comp["weights"])
-        lines.append(f"{comp['label']}: complex_dim {comp['complex_dim']}, "
-                     f"weights {weights}, H = {comp['H']}")
-    return payload, "\n".join(lines), 0
+            weights = shown[comp.weights] = str(list(comp.weights))
+        lines.append(f"{comp.label}: complex_dim {comp.complex_dim}, "
+                     f"weights {weights}, H = {comp.H}")
+    return None, "\n".join(lines), 0
 
 
 def _run_edges(resolved: Resolved) -> tuple[dict, str, int]:
@@ -319,7 +321,7 @@ def _run_seidel(resolved: Resolved) -> tuple[dict, str, int]:
     return payload, "\n".join(lines), 0
 
 
-def _execute(args) -> tuple[dict, str, int]:
+def _execute(args) -> tuple[dict | None, str | None, int]:
     resolved = resolve(_source_from_args(args))
     try:
         if args.command == "width":
@@ -327,7 +329,7 @@ def _execute(args) -> tuple[dict, str, int]:
         if args.command == "check":
             return _run_check(resolved)
         if args.command == "fixed":
-            return _run_fixed(resolved.action)
+            return _run_fixed(resolved.action, args.format == "json")
         if args.command == "edges":
             return _run_edges(resolved)
         return _run_seidel(resolved)

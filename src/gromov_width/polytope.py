@@ -3,9 +3,15 @@
 A polytope is a list of facets, each a primitive inward normal with a
 rational offset (constraint <x, normal> >= offset).  Vertex enumeration runs
 in exact integer arithmetic (offsets scaled by the lcm of their
-denominators, Cramer's rule by fraction-free elimination) and verifies the
-smoothness condition at every vertex: exactly dim facets meet there and
-their normals form a Z-basis.  Everything else is read off the vertex
+denominators) and verifies the smoothness condition at every vertex:
+exactly dim facets meet there and their normals form a Z-basis.  On a
+Delzant polytope it solves one facet subset for a first vertex (Cramer's
+rule by fraction-free elimination) and walks the edge graph from there, one
+integer pivot per vertex (the simple case of Avis-Fukuda reverse search).
+Anything irregular goes to the exact fallback, a scan that solves every
+nonsingular facet subset and words the failure; the scan, and the search
+for a first vertex on an adversarial facet order, can take exponential
+time.  Everything else is read off the vertex
 figures: an edge joins the two vertices that share all but one active facet,
 and in reflexive position a vertex sits at minus the sum of its edge
 directions.  A polytope object enumerates itself at most once: its vertices
@@ -21,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import Empty, InvalidInput, NotDelzant, NotMonotone, Unbounded
 from .lattice import Vector, as_vector, content
@@ -156,25 +161,76 @@ def _cramer(rows: Sequence[Vector], rhs: Sequence[Sequence[int]]) -> tuple[int, 
     return prev, numerators
 
 
+def _scaled_offsets(facets: Sequence[HalfSpace]) -> tuple[int, list[int]]:
+    """(L, [offset * L for each facet]) for L the lcm of the offset denominators."""
+    scale = lcm(*(f.offset.denominator for f in facets))
+    return scale, [f.offset.numerator * (scale // f.offset.denominator) for f in facets]
+
+
+def _reduce(row: Sequence[int], echelon: Sequence[tuple[list[int], int]]) -> list[int] | None:
+    """row minus its part in the span of the echelon rows, scaled to content 1,
+    or None when row lies in that span.  Each echelon row is paired with its
+    pivot column and vanishes on the pivot columns of the rows before it."""
+    row = list(row)
+    for base, c in echelon:
+        if row[c]:
+            p, f = base[c], row[c]
+            row = [p * x - f * y for x, y in zip(row, base)]
+    g = content(row)
+    return [x // g for x in row] if g else None
+
+
+def _nonsingular_subsets(rows: Sequence[Vector], n: int) -> Iterator[tuple[int, ...]]:
+    """The n-subsets of rows with a nonzero determinant, in combinations order.
+
+    Depth first over index prefixes, each kept in fraction-free echelon form:
+    a row that reduces to zero against its prefix makes every extension of
+    that prefix singular, so the whole branch is skipped unsolved.
+    """
+    count = len(rows)
+    prefix: list[int] = []
+    echelon: list[tuple[list[int], int]] = []
+    i = 0
+    while True:
+        if i <= count - n + len(prefix):      # room for the rows still missing
+            row = _reduce(rows[i], echelon)
+            if row is not None:
+                if len(prefix) + 1 == n:
+                    yield (*prefix, i)
+                else:
+                    prefix.append(i)
+                    echelon.append((row, next(c for c, x in enumerate(row) if x)))
+            i += 1
+        elif prefix:
+            i = prefix.pop() + 1
+            echelon.pop()
+        else:
+            return
+
+
+def _feasible_bases(normals: Sequence[Vector], bounds: Sequence[int],
+                    n: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """(subset, d, num) for each nonsingular n-subset of rows whose basic
+    solution num / d of <x, u> >= b is feasible, d > 0, in combinations order."""
+    for subset in _nonsingular_subsets(normals, n):
+        det, (num,) = _cramer([normals[i] for i in subset], [[bounds[i] for i in subset]])
+        if det < 0:
+            det, num = -det, [-c for c in num]
+        if all(_dot(num, u) >= b * det for u, b in zip(normals, bounds)):
+            yield subset, det, num
+
+
 def _basic_points(normals: Sequence[Vector], bounds: Sequence[int], n: int,
                   scale: int = 1) -> dict[Point, tuple[int, list[int]]]:
     """Each feasible basic solution of <x, u> >= b / scale (rows u of length n),
     mapped to (d, the rows it meets with equality): every nonsingular n-subset
     of rows gives num / (d scale) by Cramer's rule, with d > 0."""
     found: dict[Point, tuple[int, list[int]]] = {}
-    for subset in combinations(range(len(normals)), n):
-        det, numerators = _cramer([normals[i] for i in subset],
-                                  [[bounds[i] for i in subset]])
-        if det == 0:
-            continue
-        num = numerators[0]
-        if det < 0:
-            det, num = -det, [-c for c in num]
-        if all(_dot(num, u) >= b * det for u, b in zip(normals, bounds)):
-            point = tuple(Fraction(c, det * scale) for c in num)
-            if point not in found:
-                found[point] = (det, [i for i, (u, b) in enumerate(zip(normals, bounds))
-                                      if _dot(num, u) == b * det])
+    for _, det, num in _feasible_bases(normals, bounds, n):
+        point = tuple(Fraction(c, det * scale) for c in num)
+        if point not in found:
+            found[point] = (det, [i for i, (u, b) in enumerate(zip(normals, bounds))
+                                  if _dot(num, u) == b * det])
     return found
 
 
@@ -200,23 +256,129 @@ def _pivot_columns(rows: Sequence[Vector], n: int) -> list[int]:
     return pivots
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def _walk(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> dict | None:
+    """Every vertex of <x, u> >= b, reached by integer pivots from the first
+    feasible basis, or None on anything a simple unimodular polytope cannot show.
+
+    Maps each vertex (integral, since b is) to its active rows and, in the
+    same order, its columns: the edge direction e_j followed by <u_i, e_j>
+    for every row i.  A vertex is carried as its position followed by its
+    slacks <x, u_i> - b_i.  Along e_j the entering row k has the least ratio
+    s_k / -<u_k, e_j>; the neighbour is unimodular exactly when
+    <u_k, e_j> = -1, and then one rank-1 step moves the point by s_k times
+    column j, negates column j and adds <u_k, e_l> times column j to every
+    other column l.  No linear system is solved after the first vertex.
+
+    None on: no feasible basis, a first basis of determinant other than 1,
+    a zero slack outside it (a non-simple first vertex), a tie in the ratio
+    test (a non-simple neighbour), a column with no negative pairing (an
+    unbounded ray), an entering pairing other than -1, or a row that no
+    vertex meets.  Without these, every vertex reached is simple and
+    unimodular and each of its edges is bounded and ends at a vertex
+    reached; the bounded edges of a pointed polyhedron form a connected
+    graph (Balinski), so every vertex is reached.
+    """
+    start = next(_feasible_bases(normals, bounds, n), None)
+    if start is None or start[1] != 1:
+        return None
+    basis, _, position = start
+    sign, adjugate = _cramer([normals[i] for i in basis], _identity(n))
+    columns = []
+    for col in adjugate:
+        e = [sign * c for c in col]
+        columns.append(e + [_dot(e, u) for u in normals])
+    point = position + [_dot(position, u) - b for u, b in zip(normals, bounds)]
+    if point[n:].count(0) != n:
+        return None
+    found = {tuple(position): (list(basis), columns)}
+    todo = [point]
+    while todo:
+        point = todo.pop()
+        basis, columns = found[tuple(point[:n])]
+        slacks = point[n:]
+        for j, col in enumerate(columns):
+            k = -1
+            for i, (s, a) in enumerate(zip(slacks, col[n:])):
+                if a < 0:
+                    if k < 0:
+                        k, step, pairing, tie = i, s, a, False
+                    else:
+                        # the sign of step / -pairing minus s / -a
+                        order = s * pairing - step * a
+                        if order > 0:
+                            k, step, pairing, tie = i, s, a, False
+                        elif order == 0:
+                            tie = True
+            if k < 0 or tie or pairing != -1:
+                return None
+            moved = [p + step * c for p, c in zip(point, col)]
+            key = tuple(moved[:n])
+            if key in found:
+                continue
+            turned = []
+            for l, other in enumerate(columns):
+                t = other[n + k]
+                if l == j:
+                    turned.append([-c for c in col])
+                elif t:
+                    turned.append([c + t * d for c, d in zip(other, col)])
+                else:
+                    turned.append(other)
+            found[key] = (basis[:j] + [k] + basis[j + 1:], turned)
+            todo.append(moved)
+    if len(set().union(*(basis for basis, _ in found.values()))) != len(normals):
+        return None
+    return found
+
+
 def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
     """All vertices in lexicographic order, with smoothness checks.
 
-    Offsets are scaled to integers by the lcm L of their denominators, and the
-    vertices are the feasible basic solutions; the facets they meet with
-    equality are active.  At each vertex exactly dim facets must be active
-    and their normals must form a Z-basis (d = 1); the edge directions are the
-    columns of the inverse normal matrix, read off the adjugate.  With no
-    vertex, a full-rank system is Empty; a lower-rank one contains a line and
-    is Unbounded exactly when the system on its pivot coordinates has a
-    feasible basic solution.  NotDelzant flags smoothness failures.
+    Offsets are scaled to integers by the lcm L of their denominators.  On a
+    Delzant polytope the vertices come from an edge walk (_walk): the first
+    feasible basis in combinations order is solved by Cramer's rule, its
+    edge directions read off the adjugate, and every further vertex and its
+    edge directions follow by one integer pivot, O(F d) per vertex for F
+    facets in dimension d.  Anything irregular on the way (a non-simple or
+    non-unimodular vertex, an unbounded ray, an unused facet, no vertex at
+    all) hands the polytope to the scan, which decides and words the
+    failure.
+
+    The scan solves every nonsingular d-subset of facets and keeps the
+    feasible basic solutions; the facets they meet with equality are
+    active.  At each vertex exactly dim facets must be active and their
+    normals must form a Z-basis (d = 1); the edge directions are the columns
+    of the inverse normal matrix, read off the adjugate.  With no vertex, a
+    full-rank system is Empty; a lower-rank one contains a line and is
+    Unbounded exactly when the system on its pivot coordinates has a
+    feasible basic solution.  NotDelzant flags smoothness failures.  The
+    scan costs up to C(F, d) solves, and so can the walk's search for its
+    first vertex on an adversarial facet order: both stay exponential in
+    the worst case.
     """
     n = polytope.dim
-    facets = polytope.facets
-    normals = [f.normal for f in facets]
-    scale = lcm(*(f.offset.denominator for f in facets))
-    bounds = [f.offset.numerator * (scale // f.offset.denominator) for f in facets]
+    normals = [f.normal for f in polytope.facets]
+    scale, bounds = _scaled_offsets(polytope.facets)
+    walked = _walk(normals, bounds, n)
+    if walked is None:
+        return _scan(polytope, normals, bounds, scale)
+    vertices = []
+    for position in sorted(walked):
+        basis, columns = walked[position]
+        vertices.append(VertexFigure(
+            tuple(Fraction(c, scale) for c in position), frozenset(basis),
+            tuple(tuple(columns[j][:n]) for j in sorted(range(n), key=basis.__getitem__))))
+    return vertices
+
+
+def _scan(polytope: DelzantPolytope, normals: list[Vector], bounds: list[int],
+          scale: int) -> list[VertexFigure]:
+    """enumerate_vertices by solving every facet subset; raises on any failure."""
+    n = polytope.dim
     found = _basic_points(normals, bounds, n, scale)
     if not found:
         pivots = _pivot_columns(normals, n)
@@ -225,7 +387,7 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
             raise Unbounded("no vertex: the half-space intersection is unbounded")
         raise Empty("the half-space intersection is empty")
 
-    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    identity = _identity(n)
     vertices = []
     covered: set[int] = set()
     for point in sorted(found):
@@ -246,7 +408,7 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
                     f"edge ray from vertex {_fmt_point(point)} never leaves the polytope")
         covered.update(active)
         vertices.append(VertexFigure(point, frozenset(active), inverse_cols))
-    for i in range(len(facets)):
+    for i in range(len(normals)):
         if i not in covered:
             raise NotDelzant(f"facet {polytope.facet_name(i)} supports no vertex")
     return vertices
@@ -306,14 +468,14 @@ def _normalized(dim: int, facets: tuple[HalfSpace, ...]) -> tuple[Point, Delzant
     vertices = polytope.vertices
     # The first vertex's normals are a Z-basis and its edge directions the dual
     # basis, so they fix the only candidate translation; every facet must agree.
+    # Scaled by L, the targets -1 - offset are the integers -L - b.
     first = vertices[0]
-    targets = [-1 - polytope.facets[i].offset for i in sorted(first.incident_facets)]
-    translation = tuple(sum((c * e[k] for c, e in zip(targets, first.edge_directions)),
-                            Fraction(0))
-                        for k in range(polytope.dim))
-    if any(sum(t * a for t, a in zip(translation, f.normal)) != -1 - f.offset
-           for f in polytope.facets):
+    scale, bounds = _scaled_offsets(facets)
+    targets = [-scale - bounds[i] for i in sorted(first.incident_facets)]
+    shift = [_dot(targets, coords) for coords in zip(*first.edge_directions)]
+    if any(_dot(shift, f.normal) != -scale - b for f, b in zip(facets, bounds)):
         raise NotMonotone("no translation takes every facet offset to -1")
+    translation = tuple(Fraction(c, scale) for c in shift)
     shifted = tuple(
         VertexFigure(tuple(Fraction(-sum(c)) for c in zip(*v.edge_directions)),
                      v.incident_facets, v.edge_directions)

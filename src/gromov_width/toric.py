@@ -208,10 +208,16 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
     return ActionData(n=polytope.dim, components=tuple(comps))
 
 
-def _vertex_component(spec: SubcircleSpec, vertex: VertexFigure, label: str) -> FixedComponent:
-    raw = spec.edge_weights[vertex]
-    return FixedComponent(label=label, complex_dim=raw.count(0),
-                          weights=tuple(w for w in raw if w != 0), H=-sum(raw))
+def _vertex_component(raw: tuple[int, ...], label: str,
+                      built: dict[tuple[tuple[int, ...], str], FixedComponent]) -> FixedComponent:
+    """The isolated fixed point whose edge weights are raw, zeros included;
+    built is the memo, so each (raw, label) is validated once."""
+    comp = built.get((raw, label))
+    if comp is None:
+        comp = built[raw, label] = FixedComponent(
+            label=label, complex_dim=raw.count(0),
+            weights=tuple(w for w in raw if w != 0), H=-sum(raw))
+    return comp
 
 
 @dataclass(frozen=True)
@@ -233,6 +239,8 @@ def edge_cross_check(spec: SubcircleSpec) -> list[EdgeInvariants]:
     witness = semifree_witness(spec)
     if witness is not None:
         raise HypothesisFailed(SEMIFREE, witness)
+    weights = spec.edge_weights
+    built: dict[tuple[tuple[int, ...], str], FixedComponent] = {}
     results = []
     for edge in spec.polytope.edges:
         w = _dot(spec.xi, edge.direction)
@@ -243,7 +251,8 @@ def edge_cross_check(spec: SubcircleSpec) -> list[EdgeInvariants]:
         area = _dot(spec.xi, [b.numerator - a.numerator
                               for a, b in zip(lo.position, hi.position)])
         c1, _ = gradient_sphere_invariants(
-            _vertex_component(spec, lo, "x"), _vertex_component(spec, hi, "y"))
+            _vertex_component(weights[lo], "x", built),
+            _vertex_component(weights[hi], "y", built))
         length = edge.lattice_length
         if not (c1 == area == length):
             raise CrossCheckFailed(

@@ -15,6 +15,10 @@ from helpers import DATA, EXPECTED, run_cli
 FIG1 = str(DATA / "fig1.json")
 # A scrambled P2 x P1 with rational offsets, for a 3-D toric source.
 P2XP1 = str(DATA / "p2xp1_scrambled.json")
+# A scrambled (P1 x P1)^4 x P2 with shuffled facets, 768 vertices in
+# dimension 10, with the diagonal of the factors' isolated-max circles.
+TEN_DIM = str(DATA / "p1xp1_4xp2_scrambled.json")
+TEN_DIM_DIR = "1,-1,1,-3,0,-1,-1,3,1,0"
 
 
 def test_width_grassmannian():
@@ -56,6 +60,33 @@ def test_3d_fixed_json_matches_fixture():
     code, out = run_cli("fixed", "--toric", P2XP1, "--dir", "1,1,0", "--format", "json")
     assert code == 0
     assert out == (EXPECTED / "p2xp1_fixed_1_1_0.json").read_text()
+
+
+def test_10d_width_matches_fixture():
+    code, out = run_cli("width", "--toric", TEN_DIM, "--dir", TEN_DIM_DIR)
+    assert code == 0
+    assert out == (EXPECTED / "p1xp1_4xp2_width_1_-1_1_-3_0_-1_-1_3_1_0.txt").read_text()
+
+
+def test_10d_edges_match_fixture():
+    code, out = run_cli("edges", "--toric", TEN_DIM, "--dir", TEN_DIM_DIR)
+    assert code == 0
+    assert out == (EXPECTED / "p1xp1_4xp2_edges_1_-1_1_-3_0_-1_-1_3_1_0.txt").read_text()
+
+
+def test_fixed_text_builds_no_json(monkeypatch):
+    source = f"grassmannian(2,4),toric({P2XP1},1,1,0)"
+    _, expected = run_cli("fixed", "--product", source)
+
+    def forbidden(action):
+        raise AssertionError("fixed --format text built the JSON form")
+
+    monkeypatch.setattr(cli, "action_to_json", forbidden)
+    code, out = run_cli("fixed", "--product", source)
+    assert code == 0
+    assert out == expected
+    with pytest.raises(AssertionError):
+        run_cli("fixed", "--product", "grassmannian(2,4)", "--format", "json")
 
 
 def test_seidel_matches_fixture():

@@ -10,7 +10,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
+from operator import mul
 
 import pytest
 
@@ -28,6 +30,10 @@ from gromov_width.polytope import (
     DelzantPolytope,
     HalfSpace,
     _cramer,
+    _nonsingular_subsets,
+    _scaled_offsets,
+    _scan,
+    _walk,
     enumerate_edges,
     enumerate_vertices,
     in_reflexive_position,
@@ -38,6 +44,7 @@ from gromov_width.polytope import (
 )
 
 from generators import (
+    FACTOR_NORMALS,
     REFLEXIVE_2D,
     random_delzant_3d,
     random_simple_product,
@@ -616,3 +623,165 @@ def test_cube_edges_have_length_two():
         edges = enumerate_edges(poly)
         assert len(edges) == k * 2 ** (k - 1)
         assert {e.lattice_length for e in edges} == {2}
+
+
+def scan(poly):
+    """The vertices as the exhaustive scan finds them."""
+    scale, bounds = _scaled_offsets(poly.facets)
+    return _scan(poly, [f.normal for f in poly.facets], bounds, scale)
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the edge walk fell back to the scan")
+
+    monkeypatch.setattr(polytope_module, "_scan", forbidden)
+
+
+def shuffled(rng, poly):
+    facets = list(poly.facets)
+    rng.shuffle(facets)
+    return DelzantPolytope(poly.dim, tuple(facets))
+
+
+# Products up to dimension 10 whose scan stays under a second.
+WALK_PRODUCTS = [("P1",), ("dP3",), ("P2", "P1"), ("P1xP1", "dP1"), ("P1",) * 5,
+                 ("P2", "P2", "P1", "P1"), ("P1",) * 7, ("dP3", "P2", "P1", "P1", "P1"),
+                 ("P1xP1", "P1xP1", "P1", "P1", "P1", "P1"), ("P2",) * 4 + ("P1",),
+                 ("P2",) * 5]
+
+
+def test_walk_equals_scan(no_scan):
+    rng = random.Random(60463)
+    polys = []
+    for dim in range(1, 7):
+        polys += [random_simple_product(rng, dim) for _ in range(12)]
+    for names in WALK_PRODUCTS:
+        base = reflexive_product(*names)
+        scrambled = scrambled_monotone_product(rng, names)[2]
+        _, reflexive = monotone_normalize(scrambled)
+        polys += [base, scrambled, shuffled(rng, scrambled),
+                  DelzantPolytope(reflexive.dim, reflexive.facets)]
+    for poly in polys:
+        expected = scan(poly)
+        assert enumerate_vertices(poly) == expected
+    assert {p.dim for p in polys} == set(range(1, 11))
+
+
+IRREGULAR = [
+    # a vertex where three facets meet
+    (DelzantPolytope(2, reflexive_polytope("P1xP1").facets + (HalfSpace((1, 1), Fraction(-2)),)),
+     NotDelzant, "3 facets active at vertex (-1, -1); need exactly 2"),
+    # the same, reached from a simple first vertex: a tie in the ratio test
+    (DelzantPolytope(2, (HalfSpace((-1, 0), Fraction(-1)), HalfSpace((0, -1), Fraction(-1)),
+                         HalfSpace((1, 0), Fraction(-1)), HalfSpace((0, 1), Fraction(-1)),
+                         HalfSpace((1, 1), Fraction(-2)))),
+     NotDelzant, "3 facets active at vertex (-1, -1); need exactly 2"),
+    # a det-2 cone at the first vertex
+    (DelzantPolytope(2, (HalfSpace((1, 1), Fraction(0)), HalfSpace((1, -1), Fraction(0)),
+                         HalfSpace((-1, 0), Fraction(-1)))),
+     NotDelzant, "normals at vertex (0, 0) (D1, D2) are not a Z-basis"),
+    # a det-2 cone one pivot away
+    (DelzantPolytope(3, (HalfSpace((1, 0, 0), Fraction(0)), HalfSpace((0, 1, 0), Fraction(0)),
+                         HalfSpace((0, 0, 1), Fraction(0)),
+                         HalfSpace((-1, -1, -2), Fraction(-4)))),
+     NotDelzant, "normals at vertex (0, 0, 2) (D1, D2, D4) are not a Z-basis"),
+    (DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)), HalfSpace((0, 1), Fraction(0)))),
+     Unbounded, "edge ray from vertex (0, 0) never leaves the polytope"),
+    (DelzantPolytope(3, (HalfSpace((1, 0, 0), Fraction(0)), HalfSpace((0, 1, 0), Fraction(0)),
+                         HalfSpace((-1, -1, 0), Fraction(-1)))),
+     Unbounded, "no vertex: the half-space intersection is unbounded"),
+    (DelzantPolytope(2, (HalfSpace((1, 0), Fraction(0)), HalfSpace((-1, 0), Fraction(1)))),
+     Empty, "the half-space intersection is empty"),
+    (DelzantPolytope(2, reflexive_polytope("P1xP1").facets + (HalfSpace((1, 1), Fraction(-5)),)),
+     NotDelzant, "facet D5 supports no vertex"),
+]
+
+
+@pytest.mark.parametrize("poly, error, message", IRREGULAR)
+def test_irregular_input_is_worded_by_the_scan(poly, error, message):
+    _, bounds = _scaled_offsets(poly.facets)
+    assert _walk([f.normal for f in poly.facets], bounds, poly.dim) is None
+    with pytest.raises(error) as err:
+        enumerate_vertices(poly)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_nonsingular_subsets_are_the_nonzero_determinants():
+    rng = random.Random(60464)
+    cases = [list(normals) for normals in FACTOR_NORMALS.values()]
+    cases += [[f.normal for f in reflexive_product(*names).facets]
+              for names in [("P1", "P1", "P1"), ("P2", "dP3"), ("P1xP1", "P1")]]
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n))
+                for _ in range(rng.randint(n, 7))]
+        for _ in range(rng.randint(0, 2)):      # opposite facets and repeats
+            row = rng.choice(rows)
+            rows.insert(rng.randrange(len(rows) + 1), tuple(-c for c in row))
+            rows.insert(rng.randrange(len(rows) + 1), row)
+        cases.append(rows)
+    pruned = 0
+    for rows in cases:
+        n = len(rows[0])
+        everything = list(combinations(range(len(rows)), n))
+        nonsingular = [s for s in everything if laplace_det([list(rows[i]) for i in s]) != 0]
+        assert list(_nonsingular_subsets(rows, n)) == nonsingular
+        pruned += len(everything) - len(nonsingular)
+    assert pruned > 1000
+
+
+def fraction_translation(poly):
+    """The translation to reflexive position in Fractions, from the first
+    vertex's dual basis, or None when some facet disagrees."""
+    first = poly.vertices[0]
+    targets = [-1 - poly.facets[i].offset for i in sorted(first.incident_facets)]
+    translation = tuple(sum((c * e[k] for c, e in zip(targets, first.edge_directions)),
+                            Fraction(0)) for k in range(poly.dim))
+    if any(sum(t * a for t, a in zip(translation, f.normal)) != -1 - f.offset
+           for f in poly.facets):
+        return None
+    return translation
+
+
+def test_integer_translation_matches_fraction_formula():
+    rng = random.Random(60465)
+    outcomes = set()
+    for round_ in range(60):
+        names = WALK_PRODUCTS[round_ % 6]
+        for poly in (scrambled_monotone_product(rng, names)[2],
+                     random_simple_product(rng, 1 + round_ % 5)):
+            expected = fraction_translation(poly)
+            outcomes.add(expected is None)
+            if expected is None:
+                with pytest.raises(NotMonotone):
+                    monotone_normalize(poly)
+            else:
+                assert monotone_normalize(poly)[0] == expected
+    assert outcomes == {True, False}
+
+
+def test_ten_dim_walk_solves_only_its_start(monkeypatch, no_scan):
+    # (P1xP1)^4 x P2, scrambled: the scan would solve up to C(19, 10) subsets
+    poly = load_polytope(DATA / "p1xp1_4xp2_scrambled.json")
+    assert comb(len(poly.facets), poly.dim) == 92378
+    normals = [f.normal for f in poly.facets]
+    _, bounds = _scaled_offsets(poly.facets)
+    for start_solves, subset in enumerate(_nonsingular_subsets(normals, poly.dim), 1):
+        det, (num,) = _cramer([normals[i] for i in subset], [[bounds[i] for i in subset]])
+        point = [Fraction(c, det) for c in num]
+        if all(sum(map(mul, point, u)) >= b for u, b in zip(normals, bounds)):
+            break
+    solves = []
+    real_cramer = polytope_module._cramer
+
+    def counting(rows, rhs):
+        solves.append(len(rhs))
+        return real_cramer(rows, rhs)
+
+    monkeypatch.setattr(polytope_module, "_cramer", counting)
+    vertices = enumerate_vertices(poly)
+    assert len(vertices) == 4 ** 4 * 3
+    assert len(solves) <= start_solves + 1
