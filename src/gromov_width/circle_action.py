@@ -259,8 +259,10 @@ def _wrap_label(label: str) -> str:
 
 def _trusted_component(label: str, complex_dim: int, weights: tuple[int, ...],
                        H: int) -> FixedComponent:
-    # A combination of validated components is valid by construction, and its
-    # weights come sorted; this skips the checks __post_init__ would repeat.
+    # For fields that pass the checks of __post_init__ by construction (a
+    # combination of validated components, or a toric vertex's nonzero
+    # integer weights): a nonempty label, a nonnegative int complex_dim and
+    # sorted nonzero int weights.  This skips the checks it would repeat.
     # Fields are set one by one, as the generated __init__ does: going through
     # __dict__ would give each instance a dict of its own, about 200 bytes more.
     comp = object.__new__(FixedComponent)

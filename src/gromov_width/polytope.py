@@ -8,18 +8,22 @@ exactly dim facets meet there and their normals form a Z-basis.  On a
 Delzant polytope it solves one facet subset for a first vertex (Cramer's
 rule by fraction-free elimination) and walks the edge graph from there, one
 integer pivot per vertex (the simple case of Avis-Fukuda reverse search).
-Anything irregular goes to the exact fallback, a scan that solves every
-nonsingular facet subset and words the failure; the scan, and the search
-for a first vertex on an adversarial facet order, can take exponential
-time.  Everything else is read off the vertex
-figures: an edge joins the two vertices that share all but one active facet,
-and in reflexive position a vertex sits at minus the sum of its edge
-directions.  A polytope object enumerates itself at most once: its vertices
-and edges are computed on first use and kept on the object.
-monotone_normalize decides whether some translation puts the polytope in
-reflexive position (every offset -1, all vertices on the lattice), which is
-the combinatorial face of monotonicity; it keeps its answer for the last few
-distinct polytopes, so equal polytopes parsed apart are enumerated once.
+When the origin is strictly inside (every offset below 0, as in reflexive
+position) the first vertex costs polynomial time: the greedy basis of the
+normals if its point is feasible, else the facets that at most dim ray
+shots from the origin meet.  Otherwise it is the first feasible facet
+subset, which an adversarial facet order can make exponential.  Anything
+irregular goes to the exact fallback, a scan that solves every nonsingular
+facet subset and words the failure; the scan can take exponential time.
+Everything else is read off the vertex figures: an edge joins the two
+vertices that share all but one active facet.  A polytope object enumerates
+itself at most once: its vertices and edges are computed on first use and
+kept on the object.  monotone_normalize decides whether some translation
+puts the polytope in reflexive position (every offset -1, all vertices on
+the lattice), which is the combinatorial face of monotonicity.  It solves
+for the translation first and enumerates only the reflexive copy; it keeps
+its answer for the last few distinct polytopes, so equal polytopes parsed
+apart are enumerated once.
 """
 
 from __future__ import annotations
@@ -100,6 +104,11 @@ class VertexFigure:
     incident_facets: frozenset[int]
     edge_directions: tuple[Vector, ...]
 
+    def __hash__(self):
+        # The active facets tell the vertices of one polytope apart, and a
+        # frozenset keeps its hash; equality still compares every field.
+        return hash(self.incident_facets)
+
 
 @dataclass(frozen=True)
 class EdgeSegment:
@@ -116,6 +125,18 @@ class EdgeSegment:
     @property
     def head(self) -> VertexFigure:
         return self.endpoints[1]
+
+
+_MINUS_ONE = Fraction(-1)
+
+
+def _trusted_halfspace(normal: Vector, offset: Fraction) -> HalfSpace:
+    # The normal of a validated half-space, so the checks of __post_init__
+    # hold already.  Fields are set one by one, as the generated __init__ does.
+    half = object.__new__(HalfSpace)
+    object.__setattr__(half, "normal", normal)
+    object.__setattr__(half, "offset", offset)
+    return half
 
 
 def _fmt_point(point: Sequence) -> str:
@@ -260,9 +281,108 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for i in range(n)] for j in range(n)]
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by its content; a zero row is returned as it is."""
+    g = content(row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _greedy_basis(rows: Sequence[Vector], n: int) -> list[int] | None:
+    """The first n-subset that _nonsingular_subsets yields, found without
+    backtracking: each row that is independent of those kept so far is
+    kept.  O(F) reductions for F rows; None when the rows have rank below n."""
+    basis: list[int] = []
+    echelon: list[tuple[list[int], int]] = []
+    for i, row in enumerate(rows):
+        reduced = _reduce(row, echelon)
+        if reduced is not None:
+            basis.append(i)
+            if len(basis) == n:
+                return basis
+            echelon.append((reduced, next(c for c, x in enumerate(reduced) if x)))
+    return None
+
+
+def _solve_basis(normals: Sequence[Vector], bounds: Sequence[int], basis: Sequence[int],
+                 n: int) -> tuple[int, list[int], list[list[int]]]:
+    """(d, num, adjugate) for the nonsingular basis rows A: num / d solves
+    <x, u_i> = b_i on the basis, d > 0, and adjugate[j] / d is the j-th
+    column of the inverse of A.  One elimination carries both."""
+    rows = [normals[i] for i in basis]
+    det, (num, *adjugate) = _cramer(rows, [[bounds[i] for i in basis], *_identity(n)])
+    if det < 0:
+        det, num, adjugate = -det, [-c for c in num], [[-c for c in col] for col in adjugate]
+    return det, num, adjugate
+
+
+def _ray_basis(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> list[int]:
+    """A basis of facets met by n ray shots from the origin, which every
+    bound b < 0 puts strictly inside; its point is then a vertex.
+
+    Each shot runs along a nonzero integer vector orthogonal to the normals
+    met so far (or its negative) and stops at the least ratio
+    slack_i / -<u_i, delta>; it meets every tied facet whose normal is
+    independent of those met.  The normals must have rank n, so some normal
+    pairs to nonzero with each such vector.  The slacks are kept as integers
+    over a common positive denominator, and the vectors orthogonal to the
+    met normals as an integer basis, one row of it dropped per facet met:
+    O(F n + n^2) per shot.
+    """
+    slacks = [-b for b in bounds]
+    free = _identity(n)          # spans the vectors orthogonal to every normal met
+    met: list[int] = []
+    while len(met) < n:
+        pairings = [_dot(u, free[0]) for u in normals]
+        if not any(a < 0 for a in pairings):
+            pairings = [-a for a in pairings]
+        k = -1
+        for i, (s, a) in enumerate(zip(slacks, pairings)):
+            if a < 0 and (k < 0 or s * pairings[k] > slacks[k] * a):
+                k = i
+        step, rate = slacks[k], -pairings[k]
+        slacks = _primitive([rate * s + step * a for s, a in zip(slacks, pairings)])
+        for i, s in enumerate(slacks):
+            if s == 0 and i not in met:
+                dots = [_dot(normals[i], v) for v in free]
+                j = next((j for j, p in enumerate(dots) if p), None)
+                if j is None:
+                    continue         # dependent on the normals met
+                p, pivot = dots[j], free[j]
+                free = [_primitive([p * x - q * y for x, y in zip(v, pivot)])
+                        for l, (q, v) in enumerate(zip(dots, free)) if l != j]
+                met.append(i)
+    return sorted(met)
+
+
+def _start(normals: Sequence[Vector], bounds: Sequence[int],
+           n: int) -> tuple[list[int], int, list[int], list[list[int]]] | None:
+    """(basis, d, num, adjugate) as _solve_basis gives them, for a feasible
+    basis: its point num / d is a vertex.  None when there is no vertex.
+
+    When every bound is below 0 the origin is strictly inside, and the start
+    costs O(F n^2): the greedy basis when its point is feasible, else the
+    basis that n ray shots from the origin meet.  Otherwise the first
+    feasible basis in combinations order, which on an adversarial facet order
+    can take exponentially many solves.
+    """
+    if all(b < 0 for b in bounds):
+        basis = _greedy_basis(normals, n)
+        if basis is None:
+            return None
+        det, num, adjugate = _solve_basis(normals, bounds, basis, n)
+        if all(_dot(num, u) >= b * det for u, b in zip(normals, bounds)):
+            return basis, det, num, adjugate
+        basis = _ray_basis(normals, bounds, n)
+    else:
+        basis = next((b for b, _, _ in _feasible_bases(normals, bounds, n)), None)
+        if basis is None:
+            return None
+    return (basis, *_solve_basis(normals, bounds, basis, n))
+
+
 def _walk(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> dict | None:
-    """Every vertex of <x, u> >= b, reached by integer pivots from the first
-    feasible basis, or None on anything a simple unimodular polytope cannot show.
+    """Every vertex of <x, u> >= b, reached by integer pivots from a first
+    vertex (_start), or None on anything a simple unimodular polytope cannot show.
 
     Maps each vertex (integral, since b is) to its active rows and, in the
     same order, its columns: the edge direction e_j followed by <u_i, e_j>
@@ -272,35 +392,39 @@ def _walk(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> dict | No
     <u_k, e_j> = -1, and then one rank-1 step moves the point by s_k times
     column j, negates column j and adds <u_k, e_l> times column j to every
     other column l.  No linear system is solved after the first vertex.
+    Each edge, named by the n - 1 rows it keeps, is crossed from one end
+    only: from the other end the entering row is the one just left, with
+    pairing -1 and no tie, so the ratio test there would show nothing new.
 
-    None on: no feasible basis, a first basis of determinant other than 1,
+    None on: no vertex found, a first basis of determinant other than 1,
     a zero slack outside it (a non-simple first vertex), a tie in the ratio
     test (a non-simple neighbour), a column with no negative pairing (an
     unbounded ray), an entering pairing other than -1, or a row that no
     vertex meets.  Without these, every vertex reached is simple and
     unimodular and each of its edges is bounded and ends at a vertex
     reached; the bounded edges of a pointed polyhedron form a connected
-    graph (Balinski), so every vertex is reached.
+    graph (Balinski), so every vertex is reached, whichever vertex starts.
     """
-    start = next(_feasible_bases(normals, bounds, n), None)
+    start = _start(normals, bounds, n)
     if start is None or start[1] != 1:
         return None
-    basis, _, position = start
-    sign, adjugate = _cramer([normals[i] for i in basis], _identity(n))
-    columns = []
-    for col in adjugate:
-        e = [sign * c for c in col]
-        columns.append(e + [_dot(e, u) for u in normals])
+    basis, _, position, adjugate = start
+    columns = [e + [_dot(e, u) for u in normals] for e in adjugate]
     point = position + [_dot(position, u) - b for u, b in zip(normals, bounds)]
     if point[n:].count(0) != n:
         return None
     found = {tuple(position): (list(basis), columns)}
+    crossed: set[frozenset[int]] = set()    # edges, by the n - 1 rows they keep
     todo = [point]
     while todo:
         point = todo.pop()
         basis, columns = found[tuple(point[:n])]
         slacks = point[n:]
         for j, col in enumerate(columns):
+            edge = frozenset(basis[:j] + basis[j + 1:])
+            if edge in crossed:
+                continue
+            crossed.add(edge)
             k = -1
             for i, (s, a) in enumerate(zip(slacks, col[n:])):
                 if a < 0:
@@ -339,13 +463,14 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
     """All vertices in lexicographic order, with smoothness checks.
 
     Offsets are scaled to integers by the lcm L of their denominators.  On a
-    Delzant polytope the vertices come from an edge walk (_walk): the first
-    feasible basis in combinations order is solved by Cramer's rule, its
-    edge directions read off the adjugate, and every further vertex and its
-    edge directions follow by one integer pivot, O(F d) per vertex for F
-    facets in dimension d.  Anything irregular on the way (a non-simple or
-    non-unimodular vertex, an unbounded ray, an unused facet, no vertex at
-    all) hands the polytope to the scan, which decides and words the
+    Delzant polytope the vertices come from an edge walk (_walk): a first
+    vertex is solved by Cramer's rule (_start), its edge directions read off
+    the adjugate, and every further vertex and its edge directions follow by
+    one integer pivot, O(F d) per vertex for F facets in dimension d.  The
+    first vertex costs O(F d^2) when every offset is below 0, and up to
+    C(F, d) solves otherwise.  Anything irregular on the way (a non-simple
+    or non-unimodular vertex, an unbounded ray, an unused facet, no vertex
+    at all) hands the polytope to the scan, which decides and words the
     failure.
 
     The scan solves every nonsingular d-subset of facets and keeps the
@@ -356,9 +481,7 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
     full-rank system is Empty; a lower-rank one contains a line and is
     Unbounded exactly when the system on its pivot coordinates has a
     feasible basic solution.  NotDelzant flags smoothness failures.  The
-    scan costs up to C(F, d) solves, and so can the walk's search for its
-    first vertex on an adversarial facet order: both stay exponential in
-    the worst case.
+    scan costs up to C(F, d) solves: it stays exponential in the worst case.
     """
     n = polytope.dim
     normals = [f.normal for f in polytope.facets]
@@ -367,10 +490,12 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
     if walked is None:
         return _scan(polytope, normals, bounds, scale)
     vertices = []
+    # an integer is its own Fraction, without the gcd that Fraction(c, 1) takes
+    fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
     for position in sorted(walked):
         basis, columns = walked[position]
         vertices.append(VertexFigure(
-            tuple(Fraction(c, scale) for c in position), frozenset(basis),
+            tuple(map(fraction, position)), frozenset(basis),
             tuple(tuple(columns[j][:n]) for j in sorted(range(n), key=basis.__getitem__))))
     return vertices
 
@@ -437,7 +562,10 @@ def enumerate_edges(polytope: DelzantPolytope) -> list[EdgeSegment]:
     for (i, e), (j, _) in sorted(ends.values(), key=lambda ab: (ab[0][0], ab[1][0])):
         tail, head = vertices[i], vertices[j]
         k = next(k for k, c in enumerate(e) if c)
-        edges.append(EdgeSegment((tail, head), e, (head.position[k] - tail.position[k]) / e[k]))
+        a, b = tail.position[k], head.position[k]
+        edges.append(EdgeSegment((tail, head), e, Fraction(
+            b.numerator * a.denominator - a.numerator * b.denominator,
+            a.denominator * b.denominator * e[k])))
     return edges
 
 
@@ -450,41 +578,45 @@ _NORMALIZED_KEPT = 16
 def monotone_normalize(polytope: DelzantPolytope) -> tuple[Point, DelzantPolytope]:
     """The translation taking every facet offset to -1, plus the translated polytope.
 
-    Raises NotMonotone when no such translation exists.  The translated
-    polytope is handed its vertices, the same vertex cones at new positions,
-    so it is never enumerated again.  Once every offset is -1, the vertex
-    whose active normals u_j have the dual basis e_j sits at -sum_j e_j, so
-    every vertex is a lattice point.  The result is memoized on the
-    polytope's value (dim and facets), so equal polytopes share one
-    translation and one reflexive polytope, with its vertices and edges;
-    a failure is not memoized and raises again on the next call.
+    Raises NotMonotone when no such translation exists.  The translation
+    comes first: the greedy basis of the normals fixes the only candidate,
+    solved in scaled integers, and every facet must agree with it.  The
+    reflexive copy is then built from the validated normals and is the only
+    polytope enumerated; its origin is strictly inside, so its first vertex
+    costs polynomial time.  Once every offset is -1, the vertex whose active
+    normals u_j have the dual basis e_j sits at -sum_j e_j, so every vertex
+    is a lattice point.  When the candidate fails, the polytope given is
+    enumerated first, so a polytope that is not Delzant says so before
+    NotMonotone; when the reflexive copy fails to be Delzant, the scan of the
+    polytope given words the failure at its own positions.  The result is
+    memoized on the polytope's value (dim and facets), so equal polytopes
+    share one translation and one reflexive polytope, with its vertices and
+    edges; a failure is not memoized and raises again on the next call.
     """
     return _normalized(polytope.dim, polytope.facets)
 
 
 @lru_cache(maxsize=_NORMALIZED_KEPT)
 def _normalized(dim: int, facets: tuple[HalfSpace, ...]) -> tuple[Point, DelzantPolytope]:
-    polytope = DelzantPolytope(dim, facets)
-    vertices = polytope.vertices
-    # The first vertex's normals are a Z-basis and its edge directions the dual
-    # basis, so they fix the only candidate translation; every facet must agree.
-    # Scaled by L, the targets -1 - offset are the integers -L - b.
-    first = vertices[0]
+    # Scaled by L, the targets -1 - offset are the integers -L - b.  The
+    # greedy basis fixes the only candidate shift; every facet must agree.
+    normals = [f.normal for f in facets]
     scale, bounds = _scaled_offsets(facets)
-    targets = [-scale - bounds[i] for i in sorted(first.incident_facets)]
-    shift = [_dot(targets, coords) for coords in zip(*first.edge_directions)]
-    if any(_dot(shift, f.normal) != -scale - b for f, b in zip(facets, bounds)):
+    targets = [-scale - b for b in bounds]
+    basis = _greedy_basis(normals, dim)
+    if basis is not None:
+        det, (shift,) = _cramer([normals[i] for i in basis], [[targets[i] for i in basis]])
+    if basis is None or any(_dot(shift, u) != t * det for u, t in zip(normals, targets)):
+        DelzantPolytope(dim, facets).vertices   # a failure to be Delzant comes first
         raise NotMonotone("no translation takes every facet offset to -1")
-    translation = tuple(Fraction(c, scale) for c in shift)
-    shifted = tuple(
-        VertexFigure(tuple(Fraction(-sum(c)) for c in zip(*v.edge_directions)),
-                     v.incident_facets, v.edge_directions)
-        for v in vertices)
-    reflexive = DelzantPolytope(
-        polytope.dim,
-        tuple(HalfSpace(f.normal, Fraction(-1)) for f in polytope.facets))
-    vars(reflexive)["vertices"] = shifted    # fills the cached_property
-    return translation, reflexive
+    reflexive = DelzantPolytope(dim, tuple(_trusted_halfspace(u, _MINUS_ONE) for u in normals))
+    try:
+        reflexive.vertices
+    except (NotDelzant, Unbounded):
+        # the same failure, worded at the positions of the polytope given
+        _scan(DelzantPolytope(dim, facets), normals, bounds, scale)
+        raise
+    return tuple(Fraction(c, det * scale) for c in shift), reflexive
 
 
 def in_reflexive_position(polytope: DelzantPolytope) -> bool:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .circle_action import SEMIFREE, ActionData, FixedComponent, gradient_sphere_invariants
+from .circle_action import (SEMIFREE, ActionData, FixedComponent, _trusted_component,
+                            gradient_sphere_invariants)
 from .errors import (CrossCheckFailed, HypothesisFailed, InconsistentComponent,
                      InvalidInput, NotAVertex, ZeroVector)
 from .lattice import Vector, as_vector, content
@@ -189,7 +190,10 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
 
     comps = []
     for face, group in groups.items():
-        if sum(face <= v.incident_facets for v in polytope.vertices) != len(group):
+        # dim facets cut out one vertex, which is the group; a smaller face
+        # must hold exactly the vertices of its group
+        if len(face) < polytope.dim and sum(
+                face <= v.incident_facets for v in polytope.vertices) != len(group):
             raise InconsistentComponent(
                 f"zero-weight group at {_fmt_point(group[0].position)} "
                 "does not fill its face")
@@ -198,12 +202,9 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
             raise InconsistentComponent(
                 "vertices of one fixed component report different weight sums "
                 f"{sorted(weight_sums)}")
-        comps.append(FixedComponent(
-            label=face_label(polytope, tuple(sorted(face))),
-            complex_dim=polytope.dim - len(face),
-            weights=tuple(sorted(w for w in table[group[0]] if w)),
-            H=-weight_sums.pop(),
-        ))
+        comps.append(_trusted_component(
+            face_label(polytope, tuple(sorted(face))), polytope.dim - len(face),
+            tuple(sorted(w for w in table[group[0]] if w)), -weight_sums.pop()))
     comps.sort(key=lambda c: (-c.H, c.label))
     return ActionData(n=polytope.dim, components=tuple(comps))
 
@@ -211,12 +212,11 @@ def toric_action(spec: SubcircleSpec) -> ActionData:
 def _vertex_component(raw: tuple[int, ...], label: str,
                       built: dict[tuple[tuple[int, ...], str], FixedComponent]) -> FixedComponent:
     """The isolated fixed point whose edge weights are raw, zeros included;
-    built is the memo, so each (raw, label) is validated once."""
+    built is the memo, so each (raw, label) is built once."""
     comp = built.get((raw, label))
     if comp is None:
-        comp = built[raw, label] = FixedComponent(
-            label=label, complex_dim=raw.count(0),
-            weights=tuple(w for w in raw if w != 0), H=-sum(raw))
+        comp = built[raw, label] = _trusted_component(
+            label, raw.count(0), tuple(sorted(w for w in raw if w)), -sum(raw))
     return comp
 
 

@@ -74,6 +74,14 @@ def test_10d_edges_match_fixture():
     assert out == (EXPECTED / "p1xp1_4xp2_edges_1_-1_1_-3_0_-1_-1_3_1_0.txt").read_text()
 
 
+@pytest.mark.parametrize("command", ["width", "check"])
+def test_adversarial_dp3_5_matches_fixture(command):
+    code, out = run_cli(command, "--toric", str(DATA / "dp3_5_adversarial.json"),
+                        "--dir", "1,0,1,0,1,0,1,0,1,0")
+    assert code == 1
+    assert out == (EXPECTED / f"dp3_5_adversarial_{command}_1_0_1_0_1_0_1_0_1_0.txt").read_text()
+
+
 def test_fixed_text_builds_no_json(monkeypatch):
     source = f"grassmannian(2,4),toric({P2XP1},1,1,0)"
     _, expected = run_cli("fixed", "--product", source)

@@ -29,10 +29,14 @@ from gromov_width.polytope import (
     _NORMALIZED_KEPT,
     DelzantPolytope,
     HalfSpace,
+    VertexFigure,
     _cramer,
+    _greedy_basis,
     _nonsingular_subsets,
+    _ray_basis,
     _scaled_offsets,
     _scan,
+    _solve_basis,
     _walk,
     enumerate_edges,
     enumerate_vertices,
@@ -516,7 +520,8 @@ def test_equal_polytopes_are_normalized_once(monkeypatch):
     assert again == translation
     assert shared is reflexive
     assert shared.edges is reflexive.edges
-    assert enumerated == [first]
+    # the reflexive copy is the only polytope enumerated, once
+    assert len(enumerated) == 1 and enumerated[0] is reflexive
 
 
 def test_normalize_memo_is_bounded(monkeypatch):
@@ -529,9 +534,9 @@ def test_normalize_memo_is_bounded(monkeypatch):
     assert len(enumerated) == _NORMALIZED_KEPT + 1
     monotone_normalize(translates[-1])
     assert len(enumerated) == _NORMALIZED_KEPT + 1
-    translation, _ = monotone_normalize(translates[0])
+    translation, reflexive = monotone_normalize(translates[0])
     assert translation == (0, 0)
-    assert enumerated[-1] == translates[0] and len(enumerated) == _NORMALIZED_KEPT + 2
+    assert enumerated[-1] is reflexive and len(enumerated) == _NORMALIZED_KEPT + 2
 
 
 @pytest.mark.parametrize("error, poly", [
@@ -729,6 +734,7 @@ def test_nonsingular_subsets_are_the_nonzero_determinants():
         everything = list(combinations(range(len(rows)), n))
         nonsingular = [s for s in everything if laplace_det([list(rows[i]) for i in s]) != 0]
         assert list(_nonsingular_subsets(rows, n)) == nonsingular
+        assert _greedy_basis(rows, n) == (list(nonsingular[0]) if nonsingular else None)
         pruned += len(everything) - len(nonsingular)
     assert pruned > 1000
 
@@ -785,3 +791,143 @@ def test_ten_dim_walk_solves_only_its_start(monkeypatch, no_scan):
     vertices = enumerate_vertices(poly)
     assert len(vertices) == 4 ** 4 * 3
     assert len(solves) <= start_solves + 1
+
+
+def translated(normals, offsets, shift):
+    """The polytope <x, u> >= offset moved by shift."""
+    return DelzantPolytope(len(shift), tuple(
+        HalfSpace(u, Fraction(b) + sum(map(mul, u, shift)))
+        for u, b in zip(normals, offsets)))
+
+
+DIAMOND = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+
+# Messages pinned from the enumerate-then-translate normalization that the
+# translation-first one replaced: each type, message and priority must hold.
+NORMALIZE_FAILURES = [
+    # reflexive offsets, translatable, but no vertex cone is unimodular
+    (translated(DIAMOND, [-1] * 4, (Fraction(1, 2), 3)),
+     NotDelzant, "normals at vertex (-1/2, 3) (D1, D4) are not a Z-basis"),
+    # translatable, with a vertex and an unbounded edge
+    (translated([(1, 0), (0, 1)], [-1, -1], (Fraction(2, 3), -2)),
+     Unbounded, "edge ray from vertex (-1/3, -3) never leaves the polytope"),
+    # translatable normals of rank 2 in dimension 3: a line, no vertex
+    (translated([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [-1] * 3, (1, Fraction(1, 2), 5)),
+     Unbounded, "no vertex: the half-space intersection is unbounded"),
+    # neither Delzant nor translatable: NotDelzant comes first
+    (translated(DIAMOND, [-1, -1, -1, -2], (0, 0)),
+     NotDelzant, "normals at vertex (-3/2, 1/2) (D1, D4) are not a Z-basis"),
+    # Delzant, not translatable
+    (translated([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2, 0, -4], (0, 0)),
+     NotMonotone, "no translation takes every facet offset to -1"),
+]
+
+
+@pytest.mark.parametrize("poly, error, message", NORMALIZE_FAILURES)
+def test_normalize_failures_keep_type_message_and_priority(poly, error, message):
+    with pytest.raises(error) as err:
+        monotone_normalize(poly)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def adversarial_dp3(k):
+    """(dP3)^k translated off reflexive position, with the first factor's
+    facets ordered so that its first nonsingular pair has no vertex."""
+    order = [(1, 0), (-1, -1), (0, 1), (-1, 0), (1, 1), (0, -1)]
+    rest = reflexive_product(*["dP3"] * k).facets[6:]
+    dim = 2 * k
+    normals = [u + (0,) * (dim - 2) for u in order] + [f.normal for f in rest]
+    return translated(normals, [-1] * len(normals),
+                      [Fraction(i - 4, 1 + i % 3) for i in range(dim)])
+
+
+def count_solves(monkeypatch):
+    solves = []
+    real_cramer = polytope_module._cramer
+
+    def counting(rows, rhs):
+        solves.append(len(rhs))
+        return real_cramer(rows, rhs)
+
+    monkeypatch.setattr(polytope_module, "_cramer", counting)
+    return solves
+
+
+def test_adversarial_order_is_normalized_in_three_solves(monkeypatch, no_scan):
+    poly = load_polytope(DATA / "dp3_5_adversarial.json")
+    assert poly == adversarial_dp3(5)
+    normals = [f.normal for f in poly.facets]
+    # the greedy basis of the reflexive copy has no vertex, so ray shots start it
+    assert _greedy_basis(normals, poly.dim)[:2] == [0, 1]
+    solves = count_solves(monkeypatch)
+    _, reflexive = monotone_normalize(poly)
+    assert len(reflexive.vertices) == 6 ** 5
+    # the translation, the greedy basis, the basis the rays meet
+    assert len(solves) == 3
+
+
+def test_ten_dim_normalize_solves_at_most_three_systems(monkeypatch, no_scan):
+    poly = load_polytope(DATA / "p1xp1_4xp2_scrambled.json")
+    solves = count_solves(monkeypatch)
+    _, reflexive = monotone_normalize(poly)
+    assert len(reflexive.vertices) == 4 ** 4 * 3
+    assert len(solves) <= 3
+
+
+def test_ray_shots_reach_a_vertex():
+    rng = random.Random(60466)
+    for round_ in range(40):
+        names = WALK_PRODUCTS[round_ % 8]
+        _, reflexive = monotone_normalize(shuffled(rng, scrambled_monotone_product(rng, names)[2]))
+        normals = [f.normal for f in reflexive.facets]
+        bounds = [-1] * len(normals)
+        basis = _ray_basis(normals, bounds, reflexive.dim)
+        det, num, _ = _solve_basis(normals, bounds, basis, reflexive.dim)
+        vertex = next(v for v in reflexive.vertices if v.incident_facets == frozenset(basis))
+        assert det == 1 and tuple(num) == vertex.position
+
+
+def test_translation_first_equals_enumerate_then_translate():
+    rng = random.Random(60467)
+    for round_ in range(30):
+        names = WALK_PRODUCTS[round_ % 8]
+        poly = shuffled(rng, scrambled_monotone_product(rng, names)[2])
+        translation, reflexive = monotone_normalize(poly)
+        assert translation == fraction_translation(poly)
+
+        def fields(v, shift=None):
+            position = v.position if shift is None else tuple(map(sum, zip(v.position, shift)))
+            return position, v.incident_facets, v.edge_directions
+
+        assert [fields(v, translation) for v in enumerate_vertices(poly)] == [
+            fields(v) for v in reflexive.vertices]
+        assert [(fields(e.tail, translation), fields(e.head, translation), e.direction,
+                 e.lattice_length) for e in enumerate_edges(poly)] == [
+            (fields(e.tail), fields(e.head), e.direction, e.lattice_length)
+            for e in reflexive.edges]
+
+
+def test_vertex_figures_hash_by_their_facets():
+    rng = random.Random(60468)
+    for names in [("dP3",), ("P2", "P1"), ("P1xP1", "dP1")]:
+        poly = scrambled_monotone_product(rng, names)[2]
+        _, reflexive = monotone_normalize(poly)
+        for v, w in zip(enumerate_vertices(poly), reflexive.vertices):
+            assert hash(w) == hash(w.incident_facets)
+            twin = VertexFigure(w.position, frozenset(w.incident_facets), w.edge_directions)
+            assert twin is not w and twin == w and hash(twin) == hash(w)
+            # translates share facets and hash, not equality
+            assert v.incident_facets == w.incident_facets and hash(v) == hash(w)
+            assert v != w
+
+
+def test_reflexive_copy_facets_equal_validated_ones():
+    rng = random.Random(60469)
+    for names in WALK_PRODUCTS[:8]:
+        _, reflexive = monotone_normalize(scrambled_monotone_product(rng, names)[2])
+        validated = tuple(HalfSpace(list(f.normal), -1) for f in reflexive.facets)
+        assert reflexive.facets == validated
+        assert hash(reflexive.facets) == hash(validated)
+        assert all(type(f.offset) is Fraction and type(f.normal) is tuple
+                   for f in reflexive.facets)

@@ -10,8 +10,8 @@ import pytest
 import gromov_width.lattice as lattice_module
 import gromov_width.polytope as polytope_module
 import gromov_width.toric as toric_module
-from gromov_width.circle_action import (SEMIFREE, gromov_width, normalize_moment,
-                                        run_all_checks)
+from gromov_width.circle_action import (SEMIFREE, FixedComponent, gromov_width,
+                                        normalize_moment, run_all_checks)
 from gromov_width.errors import (
     DimensionMismatch,
     HypothesisFailed,
@@ -35,6 +35,7 @@ from gromov_width.toric import (
     SubcircleSpec,
     _coprime_base,
     _prime_to,
+    _vertex_component,
     edge_cross_check,
     face_label,
     isotropy_report,
@@ -102,6 +103,22 @@ def test_vertex_weights_rejects_fake_vertex():
     fake = VertexFigure((5, 5), frozenset({0, 1}), ((1, 0), (0, 1)))
     with pytest.raises(NotAVertex):
         vertex_weights(spec, fake)
+
+
+def test_vertex_weights_accepts_an_equal_figure():
+    rng = random.Random(7374)
+    for names in [("dP2",), ("P2", "P1"), ("P1xP1", "dP1")]:
+        _, reflexive = monotone_normalize(scrambled_monotone_product(rng, names)[2])
+        spec = SubcircleSpec((1,) * reflexive.dim, reflexive)
+        for v in reflexive.vertices:
+            twin = VertexFigure(v.position, frozenset(v.incident_facets),
+                                tuple(v.edge_directions))
+            assert twin is not v
+            assert vertex_weights(spec, twin) == vertex_weights(spec, v)
+            moved = VertexFigure(tuple(c + 1 for c in v.position), v.incident_facets,
+                                 v.edge_directions)
+            with pytest.raises(NotAVertex):
+                vertex_weights(spec, moved)
 
 
 def test_isotropy_report_blowup():
@@ -284,7 +301,8 @@ def test_one_enumeration_per_request(monkeypatch, names, width):
     assert gromov_width(action).width == width
     assert edge_cross_check(spec)
     seidel_structure(action)
-    assert enumerated == [raw]
+    # the reflexive copy is the only polytope enumerated, once
+    assert len(enumerated) == 1 and enumerated[0] is reflexive
 
 
 # Scrambled products up to dimension 5, each with a few primitive directions.
@@ -301,6 +319,17 @@ def scrambled_specs(seed, directions=4):
         box = primitive_box(reflexive.dim, 1 if reflexive.dim > 3 else 2)
         for d in ([xi] if xi else []) + rng.sample(box, min(directions, len(box))):
             yield SubcircleSpec(d, reflexive)
+
+
+def test_trusted_components_equal_validated_ones():
+    for spec in scrambled_specs(13):
+        for c in toric_action(spec).components:
+            validated = FixedComponent(c.label, c.complex_dim, c.weights[::-1], c.H)
+            assert c == validated and hash(c) == hash(validated)
+        for raw in spec.edge_weights.values():
+            validated = FixedComponent("x", raw.count(0), [w for w in raw if w], -sum(raw))
+            built = _vertex_component(raw, "x", {})
+            assert built == validated and hash(built) == hash(validated)
 
 
 def test_isotropy_orders_are_quotient_orders():
