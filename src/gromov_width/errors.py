@@ -70,7 +70,11 @@ class EmptyProduct(InvalidInput):
 
 
 class InconsistentComponent(InvalidInput):
-    """Vertices of one fixed component disagree about its weight data."""
+    """Vertices of one fixed component disagree about its weight data.
+
+    Public since 0.1.0.  No library path raises it any more: toric_action
+    proves that a zero-weight group fills its face and shares one level.
+    """
 
 
 class CrossCheckFailed(Error):

@@ -18,7 +18,8 @@ facet subset and words the failure; the scan can take exponential time.
 Everything else is read off the vertex figures: an edge joins the two
 vertices that share all but one active facet.  A polytope object enumerates
 itself at most once: its vertices and edges are computed on first use and
-kept on the object.  monotone_normalize decides whether some translation
+kept on the object, and so are each vertex's sorted active facets and its
+fixed-point label.  monotone_normalize decides whether some translation
 puts the polytope in reflexive position (every offset -1, all vertices on
 the lattice), which is the combinatorial face of monotonicity.  It solves
 for the translation first and enumerates only the reflexive copy; it keeps
@@ -28,10 +29,11 @@ apart are enumerated once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -40,6 +42,13 @@ from .lattice import Vector, as_vector, content
 from .serialize import fraction_from_json, fraction_to_json, load_json
 
 Point = tuple[Fraction, ...]
+# A first vertex (basis, d, num, adjugate): the active rows, the positive
+# determinant of their matrix A, and A's solution and inverse times d.
+Start = tuple[list[int], int, list[int], list[list[int]]]
+
+# The "p/q" offsets that a polytope file spells plainly: ASCII digits, an
+# optional minus sign, no spaces, underscores or plus sign.
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,19 @@ class VertexFigure:
         # frozenset keeps its hash; equality still compares every field.
         return hash(self.incident_facets)
 
+    @cached_property
+    def active_facets(self) -> tuple[int, ...]:
+        """incident_facets in increasing order: edge_directions[j] is dual
+        to the normal of active_facets[j].  Computed on first use and kept,
+        so the subcircles of one polytope sort each vertex's facets once."""
+        return tuple(sorted(self.incident_facets))
+
+    @cached_property
+    def label(self) -> str:
+        """The name of the fixed point at this vertex (p12, or p(10,11) past
+        facet 9), computed on first use and kept."""
+        return _point_label(self.active_facets)
+
 
 @dataclass(frozen=True)
 class EdgeSegment:
@@ -131,12 +153,22 @@ _MINUS_ONE = Fraction(-1)
 
 
 def _trusted_halfspace(normal: Vector, offset: Fraction) -> HalfSpace:
-    # The normal of a validated half-space, so the checks of __post_init__
-    # hold already.  Fields are set one by one, as the generated __init__ does.
+    # For a normal that holds the checks of __post_init__ already (a
+    # validated half-space's, or a parsed nonempty tuple of ints with gcd 1)
+    # and a Fraction offset.  Fields are set one by one, as the generated
+    # __init__ does.
     half = object.__new__(HalfSpace)
     object.__setattr__(half, "normal", normal)
     object.__setattr__(half, "offset", offset)
     return half
+
+
+def _point_label(indices: Sequence[int]) -> str:
+    """The name of the vertex cut out by the facets of the sorted indices:
+    p12 for facets D1 and D2, p(10,11) once a facet number has two digits."""
+    if all(i <= 8 for i in indices):
+        return "p" + "".join(str(i + 1) for i in indices)
+    return "p(" + ",".join(str(i + 1) for i in indices) + ")"
 
 
 def _fmt_point(point: Sequence) -> str:
@@ -182,10 +214,21 @@ def _cramer(rows: Sequence[Vector], rhs: Sequence[Sequence[int]]) -> tuple[int, 
     return prev, numerators
 
 
+def _offset_pairs(facets: Sequence[HalfSpace]) -> tuple[tuple[int, int], ...]:
+    """Each facet's offset as (numerator, denominator): plain integers, which
+    hash and compare without the Python-level methods of Fraction."""
+    return tuple([(f.offset.numerator, f.offset.denominator) for f in facets])
+
+
+def _scaled(offsets: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(L, [p * L / q for each offset (p, q)]) for L the lcm of the denominators q."""
+    scale = lcm(*(q for _, q in offsets))
+    return scale, [p * (scale // q) for p, q in offsets]
+
+
 def _scaled_offsets(facets: Sequence[HalfSpace]) -> tuple[int, list[int]]:
     """(L, [offset * L for each facet]) for L the lcm of the offset denominators."""
-    scale = lcm(*(f.offset.denominator for f in facets))
-    return scale, [f.offset.numerator * (scale // f.offset.denominator) for f in facets]
+    return _scaled(_offset_pairs(facets))
 
 
 def _reduce(row: Sequence[int], echelon: Sequence[tuple[list[int], int]]) -> list[int] | None:
@@ -229,14 +272,23 @@ def _nonsingular_subsets(rows: Sequence[Vector], n: int) -> Iterator[tuple[int, 
             return
 
 
+def _solve_positive(rows: Sequence[Vector],
+                    rhs: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """_cramer(rows, rhs) for nonsingular rows, with the sign of d and of
+    every numerator turned so that d > 0."""
+    det, numerators = _cramer(rows, rhs)
+    if det < 0:
+        det, numerators = -det, [[-c for c in x] for x in numerators]
+    return det, numerators
+
+
 def _feasible_bases(normals: Sequence[Vector], bounds: Sequence[int],
                     n: int) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     """(subset, d, num) for each nonsingular n-subset of rows whose basic
     solution num / d of <x, u> >= b is feasible, d > 0, in combinations order."""
     for subset in _nonsingular_subsets(normals, n):
-        det, (num,) = _cramer([normals[i] for i in subset], [[bounds[i] for i in subset]])
-        if det < 0:
-            det, num = -det, [-c for c in num]
+        det, (num,) = _solve_positive([normals[i] for i in subset],
+                                      [[bounds[i] for i in subset]])
         if all(_dot(num, u) >= b * det for u, b in zip(normals, bounds)):
             yield subset, det, num
 
@@ -308,10 +360,8 @@ def _solve_basis(normals: Sequence[Vector], bounds: Sequence[int], basis: Sequen
     """(d, num, adjugate) for the nonsingular basis rows A: num / d solves
     <x, u_i> = b_i on the basis, d > 0, and adjugate[j] / d is the j-th
     column of the inverse of A.  One elimination carries both."""
-    rows = [normals[i] for i in basis]
-    det, (num, *adjugate) = _cramer(rows, [[bounds[i] for i in basis], *_identity(n)])
-    if det < 0:
-        det, num, adjugate = -det, [-c for c in num], [[-c for c in col] for col in adjugate]
+    det, (num, *adjugate) = _solve_positive([normals[i] for i in basis],
+                                            [[bounds[i] for i in basis], *_identity(n)])
     return det, num, adjugate
 
 
@@ -354,8 +404,7 @@ def _ray_basis(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> list
     return sorted(met)
 
 
-def _start(normals: Sequence[Vector], bounds: Sequence[int],
-           n: int) -> tuple[list[int], int, list[int], list[list[int]]] | None:
+def _start(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> Start | None:
     """(basis, d, num, adjugate) as _solve_basis gives them, for a feasible
     basis: its point num / d is a vertex.  None when there is no vertex.
 
@@ -369,20 +418,31 @@ def _start(normals: Sequence[Vector], bounds: Sequence[int],
         basis = _greedy_basis(normals, n)
         if basis is None:
             return None
-        det, num, adjugate = _solve_basis(normals, bounds, basis, n)
-        if all(_dot(num, u) >= b * det for u, b in zip(normals, bounds)):
-            return basis, det, num, adjugate
-        basis = _ray_basis(normals, bounds, n)
-    else:
-        basis = next((b for b, _, _ in _feasible_bases(normals, bounds, n)), None)
-        if basis is None:
-            return None
+        return _interior_start(normals, bounds, n,
+                               (basis, *_solve_basis(normals, bounds, basis, n)))
+    basis = next((b for b, _, _ in _feasible_bases(normals, bounds, n)), None)
+    if basis is None:
+        return None
     return (basis, *_solve_basis(normals, bounds, basis, n))
 
 
-def _walk(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> dict | None:
+def _interior_start(normals: Sequence[Vector], bounds: Sequence[int], n: int,
+                    greedy: Start) -> Start:
+    """_start when every bound is below 0, from the greedy basis solved as
+    _solve_basis gives it: that basis when its point is feasible, else the
+    basis that n ray shots from the origin meet."""
+    _, det, num, _ = greedy
+    if all(_dot(num, u) >= b * det for u, b in zip(normals, bounds)):
+        return greedy
+    basis = _ray_basis(normals, bounds, n)
+    return (basis, *_solve_basis(normals, bounds, basis, n))
+
+
+def _walk(normals: Sequence[Vector], bounds: Sequence[int], n: int,
+          start: Start | None = None) -> dict | None:
     """Every vertex of <x, u> >= b, reached by integer pivots from a first
-    vertex (_start), or None on anything a simple unimodular polytope cannot show.
+    vertex (start, as _start gives it, which solves it when it is not
+    given), or None on anything a simple unimodular polytope cannot show.
 
     Maps each vertex (integral, since b is) to its active rows and, in the
     same order, its columns: the edge direction e_j followed by <u_i, e_j>
@@ -405,7 +465,8 @@ def _walk(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> dict | No
     reached; the bounded edges of a pointed polyhedron form a connected
     graph (Balinski), so every vertex is reached, whichever vertex starts.
     """
-    start = _start(normals, bounds, n)
+    if start is None:
+        start = _start(normals, bounds, n)
     if start is None or start[1] != 1:
         return None
     basis, _, position, adjugate = start
@@ -459,8 +520,13 @@ def _walk(normals: Sequence[Vector], bounds: Sequence[int], n: int) -> dict | No
     return found
 
 
-def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
+def enumerate_vertices(polytope: DelzantPolytope,
+                       walked: dict | None = None) -> list[VertexFigure]:
     """All vertices in lexicographic order, with smoothness checks.
+
+    walked is the polytope's edge walk (_walk) when the caller has taken it
+    already: monotone_normalize does, from the first vertex that it solves
+    with the translation.
 
     Offsets are scaled to integers by the lcm L of their denominators.  On a
     Delzant polytope the vertices come from an edge walk (_walk): a first
@@ -484,11 +550,12 @@ def enumerate_vertices(polytope: DelzantPolytope) -> list[VertexFigure]:
     scan costs up to C(F, d) solves: it stays exponential in the worst case.
     """
     n = polytope.dim
-    normals = [f.normal for f in polytope.facets]
     scale, bounds = _scaled_offsets(polytope.facets)
-    walked = _walk(normals, bounds, n)
     if walked is None:
-        return _scan(polytope, normals, bounds, scale)
+        normals = [f.normal for f in polytope.facets]
+        walked = _walk(normals, bounds, n)
+        if walked is None:
+            return _scan(polytope, normals, bounds, scale)
     vertices = []
     # an integer is its own Fraction, without the gcd that Fraction(c, 1) takes
     fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
@@ -556,7 +623,7 @@ def enumerate_edges(polytope: DelzantPolytope) -> list[EdgeSegment]:
     vertices = polytope.vertices
     ends: dict[frozenset[int], list[tuple[int, Vector]]] = {}
     for i, v in enumerate(vertices):
-        for f, e in zip(sorted(v.incident_facets), v.edge_directions):
+        for f, e in zip(v.active_facets, v.edge_directions):
             ends.setdefault(v.incident_facets - {f}, []).append((i, e))
     edges = []
     for (i, e), (j, _) in sorted(ends.values(), key=lambda ab: (ab[0][0], ab[1][0])):
@@ -583,48 +650,96 @@ def monotone_normalize(polytope: DelzantPolytope) -> tuple[Point, DelzantPolytop
     solved in scaled integers, and every facet must agree with it.  The
     reflexive copy is then built from the validated normals and is the only
     polytope enumerated; its origin is strictly inside, so its first vertex
-    costs polynomial time.  Once every offset is -1, the vertex whose active
-    normals u_j have the dual basis e_j sits at -sum_j e_j, so every vertex
-    is a lattice point.  When the candidate fails, the polytope given is
-    enumerated first, so a polytope that is not Delzant says so before
-    NotMonotone; when the reflexive copy fails to be Delzant, the scan of the
-    polytope given words the failure at its own positions.  The result is
-    memoized on the polytope's value (dim and facets), so equal polytopes
-    share one translation and one reflexive polytope, with its vertices and
-    edges; a failure is not memoized and raises again on the next call.
+    costs polynomial time.  One elimination on the greedy basis solves the
+    translation, the reflexive copy's point on that basis and the inverse
+    of the basis, which is where the copy's edge walk starts.  Once every
+    offset is -1, the vertex whose active normals u_j have the dual basis
+    e_j sits at -sum_j e_j, so every vertex is a lattice point.  When the
+    candidate fails, the polytope given is enumerated first, so a polytope
+    that is not Delzant says so before NotMonotone; when the reflexive
+    copy's walk fails, the scan of the polytope given (and only that scan)
+    words the failure at its own positions.  The result is memoized on the
+    polytope's value (dim, normals and offsets as integer pairs), so equal
+    polytopes share one translation and one reflexive polytope, with its
+    vertices and edges, and finding them hashes no Fraction; a failure is
+    not memoized and raises again on the next call.
     """
-    return _normalized(polytope.dim, polytope.facets)
+    facets = polytope.facets
+    return _normalized(polytope.dim, tuple([f.normal for f in facets]), _offset_pairs(facets))
 
 
 @lru_cache(maxsize=_NORMALIZED_KEPT)
-def _normalized(dim: int, facets: tuple[HalfSpace, ...]) -> tuple[Point, DelzantPolytope]:
+def _normalized(dim: int, normals: tuple[Vector, ...],
+                offsets: tuple[tuple[int, int], ...]) -> tuple[Point, DelzantPolytope]:
     # Scaled by L, the targets -1 - offset are the integers -L - b.  The
     # greedy basis fixes the only candidate shift; every facet must agree.
-    normals = [f.normal for f in facets]
-    scale, bounds = _scaled_offsets(facets)
+    # The same elimination solves the reflexive copy (every bound -1) on
+    # that basis, point and inverse, which is where its walk starts.
+    scale, bounds = _scaled(offsets)
     targets = [-scale - b for b in bounds]
     basis = _greedy_basis(normals, dim)
     if basis is not None:
-        det, (shift,) = _cramer([normals[i] for i in basis], [[targets[i] for i in basis]])
+        det, (shift, num, *adjugate) = _solve_positive(
+            [normals[i] for i in basis],
+            [[targets[i] for i in basis], [-1] * dim, *_identity(dim)])
     if basis is None or any(_dot(shift, u) != t * det for u, t in zip(normals, targets)):
-        DelzantPolytope(dim, facets).vertices   # a failure to be Delzant comes first
+        _given(dim, normals, offsets).vertices   # a failure to be Delzant comes first
         raise NotMonotone("no translation takes every facet offset to -1")
+    minus_ones = [-1] * len(normals)
+    walked = _walk(normals, minus_ones, dim,
+                   _interior_start(normals, minus_ones, dim, (basis, det, num, adjugate)))
     reflexive = DelzantPolytope(dim, tuple(_trusted_halfspace(u, _MINUS_ONE) for u in normals))
-    try:
+    if walked is None:
+        # a translate fails the walk too, so the scan of the polytope given
+        # words the failure at its own positions; should it raise nothing,
+        # the reflexive copy's own enumeration decides
+        _given(dim, normals, offsets).vertices
         reflexive.vertices
-    except (NotDelzant, Unbounded):
-        # the same failure, worded at the positions of the polytope given
-        _scan(DelzantPolytope(dim, facets), normals, bounds, scale)
-        raise
+    else:
+        vars(reflexive)["vertices"] = tuple(enumerate_vertices(reflexive, walked))
     return tuple(Fraction(c, det * scale) for c in shift), reflexive
 
 
+def _given(dim: int, normals: tuple[Vector, ...],
+           offsets: tuple[tuple[int, int], ...]) -> DelzantPolytope:
+    """The polytope of a _normalized key, which its failures are worded on."""
+    return DelzantPolytope(dim, tuple(_trusted_halfspace(u, Fraction(p, q))
+                                      for u, (p, q) in zip(normals, offsets)))
+
+
 def in_reflexive_position(polytope: DelzantPolytope) -> bool:
-    return all(f.offset == -1 for f in polytope.facets)
+    # a reflexive copy's offsets are all the one shared _MINUS_ONE
+    return all(f.offset is _MINUS_ONE or f.offset == -1 for f in polytope.facets)
+
+
+def _offset_from_json(value) -> Fraction:
+    """fraction_from_json(value), without its string parser on the plain
+    "p/q" form: a literal matching -?[0-9]+/[0-9]+ with q != 0 is
+    Fraction(int(p), int(q)).  Everything else, and a part past the
+    interpreter's digit limit for int(), goes to fraction_from_json, so
+    every error keeps its type and message."""
+    if type(value) is str and _PLAIN_RATIONAL.fullmatch(value):
+        p, q = value.split("/")
+        try:
+            num, den = int(p), int(q)
+        except ValueError:
+            return fraction_from_json(value)
+        if den:
+            return Fraction(num, den)
+    return fraction_from_json(value)
 
 
 def polytope_from_json(data) -> DelzantPolytope:
-    """Parse {"dim": n, "facets": [{"normal": [...], "offset": ...}, ...]}."""
+    """Parse {"dim": n, "facets": [{"normal": [...], "offset": ...}, ...]}.
+
+    Each facet is validated once.  Its normal's entries are checked to be
+    non-bool ints, then its offset is parsed, then the normal's content is
+    checked, so a bad offset is reported before a bad normal.  A nonempty
+    normal with gcd 1 holds every check of HalfSpace, so its half-space is
+    built without repeating them; an empty, zero or non-primitive normal goes
+    through HalfSpace, which words the error.  An offset in the plain "p/q"
+    form skips the string parser of Fraction (_offset_from_json).
+    """
     if not isinstance(data, dict):
         raise InvalidInput("polytope JSON must be an object")
     if "dim" not in data or "facets" not in data:
@@ -643,7 +758,12 @@ def polytope_from_json(data) -> DelzantPolytope:
         if (not isinstance(normal, list)
                 or not all(isinstance(c, int) and not isinstance(c, bool) for c in normal)):
             raise InvalidInput(f'facet "normal" must be a list of integers: {normal!r}')
-        halves.append(HalfSpace(tuple(normal), fraction_from_json(entry["offset"])))
+        offset = _offset_from_json(entry["offset"])
+        normal = tuple(normal)
+        if normal and gcd(*normal) == 1:
+            halves.append(_trusted_halfspace(normal, offset))
+        else:
+            halves.append(HalfSpace(normal, offset))
     return DelzantPolytope(dim, tuple(halves))
 
 

@@ -21,11 +21,10 @@ from math import gcd
 
 from .circle_action import (SEMIFREE, ActionData, FixedComponent, _trusted_component,
                             gradient_sphere_invariants)
-from .errors import (CrossCheckFailed, HypothesisFailed, InconsistentComponent,
-                     InvalidInput, NotAVertex, ZeroVector)
+from .errors import CrossCheckFailed, HypothesisFailed, InvalidInput, NotAVertex, ZeroVector
 from .lattice import Vector, as_vector, content
 from .polytope import (DelzantPolytope, EdgeSegment, VertexFigure, _dot, _fmt_point,
-                       in_reflexive_position)
+                       _point_label, in_reflexive_position)
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,8 @@ class SubcircleSpec:
     @cached_property
     def edge_weights(self) -> dict[VertexFigure, tuple[int, ...]]:
         """<xi, e_j> per vertex, e_j dual to its j-th active facet in sorted order."""
-        return {v: tuple(_dot(self.xi, e) for e in v.edge_directions)
+        xi = self.xi
+        return {v: tuple([_dot(xi, e) for e in v.edge_directions])
                 for v in self.polytope.vertices}
 
 
@@ -92,7 +92,7 @@ def isotropy_report(spec: SubcircleSpec) -> IsotropyReport:
     """
     orders: dict[tuple[int, ...], int] = {}
     for v, weights in spec.edge_weights.items():
-        members = sorted(v.incident_facets)
+        members = v.active_facets
         for bits in range(1 << len(members)):
             face = tuple(m for j, m in enumerate(members) if bits >> j & 1)
             if face not in orders:
@@ -107,9 +107,7 @@ def face_label(polytope: DelzantPolytope, face: tuple[int, ...]) -> str:
         return "interior"
     indices = sorted(face)
     if len(indices) == polytope.dim:
-        if all(i <= 8 for i in indices):
-            return "p" + "".join(str(i + 1) for i in indices)
-        return "p(" + ",".join(str(i + 1) for i in indices) + ")"
+        return _point_label(indices)
     return "&".join(polytope.facet_name(i) for i in indices)
 
 
@@ -161,9 +159,10 @@ def semifree_witness(spec: SubcircleSpec) -> str | None:
     """
     candidates = []
     for v, weights in spec.edge_weights.items():
+        if -1 <= min(weights) and max(weights) <= 1:
+            continue        # every edge at v has order 0 or 1
         for b in _coprime_base({abs(w) for w in weights if abs(w) > 1}):
-            face = tuple(m for m, w in zip(sorted(v.incident_facets), weights)
-                         if gcd(b, w) == 1)
+            face = tuple(m for m, w in zip(v.active_facets, weights) if gcd(b, w) == 1)
             order = gcd(*(w for w in weights if gcd(b, w) > 1))
             candidates.append((len(face), face, order))
     if not candidates:
@@ -176,37 +175,41 @@ def semifree_witness(spec: SubcircleSpec) -> str | None:
 def toric_action(spec: SubcircleSpec) -> ActionData:
     """Fixed-point data of the xi-subcircle on the toric manifold of the polytope.
 
-    Vertices whose nonzero weights cut out the same face form one fixed
-    component; the component fills that face, its complex dimension is the
-    face dimension, and the nonzero vertex weights (which must agree across
-    the group) are the normal weights.
+    One pass over the weight table: the vertices are grouped by their facets
+    with w_j != 0, and each group is one fixed component, built from its
+    first vertex.  Its complex dimension is dim minus the number of those
+    facets, its normal weights are the nonzero weights and its level is
+    H = -sum_j w_j.  A vertex with every weight nonzero is its own group, an
+    isolated fixed point named by its cached label.
+
+    Why one vertex speaks for its group.  Let S be the active facets of v
+    with w_j != 0 and F the face they cut out.  The edges of F at v have
+    weight 0, so xi is orthogonal to F.  Every vertex u of F is active on S,
+    and its edges inside F have weight 0.  If an edge e'_j of u with j in S
+    had weight 0, xi would be orthogonal to the face cut out by S - {j};
+    that face contains v, so w_j(v) = 0, a contradiction.  So the vertices
+    with key S are exactly the vertices of F: the group fills its face.  In
+    reflexive position u = -sum_j e'_j, so -sum_j w_j(u) = <xi, u>, which is
+    constant on F: every vertex of the group has the same level.  SubcircleSpec
+    admits only reflexive polytopes, whose vertices enumerate_vertices has
+    checked, so neither fact needs checking per direction.
     """
     polytope = spec.polytope
-    table = spec.edge_weights
-    groups: dict[frozenset[int], list[VertexFigure]] = {}
-    for v, weights in table.items():
-        face = frozenset(f for f, w in zip(sorted(v.incident_facets), weights) if w)
-        groups.setdefault(face, []).append(v)
-
+    n = polytope.dim
     comps = []
-    for face, group in groups.items():
-        # dim facets cut out one vertex, which is the group; a smaller face
-        # must hold exactly the vertices of its group
-        if len(face) < polytope.dim and sum(
-                face <= v.incident_facets for v in polytope.vertices) != len(group):
-            raise InconsistentComponent(
-                f"zero-weight group at {_fmt_point(group[0].position)} "
-                "does not fill its face")
-        weight_sums = {sum(table[v]) for v in group}
-        if len(weight_sums) != 1:
-            raise InconsistentComponent(
-                "vertices of one fixed component report different weight sums "
-                f"{sorted(weight_sums)}")
-        comps.append(_trusted_component(
-            face_label(polytope, tuple(sorted(face))), polytope.dim - len(face),
-            tuple(sorted(w for w in table[group[0]] if w)), -weight_sums.pop()))
+    faces = set()
+    for v, weights in spec.edge_weights.items():
+        if all(weights):
+            comps.append(_trusted_component(v.label, 0, tuple(sorted(weights)), -sum(weights)))
+            continue
+        face = tuple(f for f, w in zip(v.active_facets, weights) if w)
+        if face not in faces:
+            faces.add(face)
+            comps.append(_trusted_component(
+                face_label(polytope, face), n - len(face),
+                tuple(sorted(w for w in weights if w)), -sum(weights)))
     comps.sort(key=lambda c: (-c.H, c.label))
-    return ActionData(n=polytope.dim, components=tuple(comps))
+    return ActionData(n=n, components=tuple(comps))
 
 
 def _vertex_component(raw: tuple[int, ...], label: str,

@@ -4,9 +4,10 @@ Nothing here shares an algorithm with the library: determinants are Laplace
 expansions, vertices come from Cramer's rule, isotropy orders are read off
 maximal minors or a literal mod-q membership scan, feasibility comes from
 Fourier-Motzkin elimination, fixed components from a union-find over
-zero-weight edges, edges from exit steps along each vertex's edge
-directions, and a product from every combination of its factors' components,
-each validated again.  Slow and tiny on purpose.
+zero-weight edges (or from a grouping that counts every vertex of each
+face), edges from exit steps along each vertex's edge directions, and a
+product from every combination of its factors' components, each validated
+again.  Slow and tiny on purpose.
 """
 
 from fractions import Fraction
@@ -161,6 +162,45 @@ def union_find_components(xi, polytope):
         comps.append((face, polytope.dim - len(face),
                       tuple(sorted(w for w in raw if w)), -sum(raw)))
     return comps
+
+
+def point_name(face, dim):
+    """A face's fixed-component label, spelled out: interior, p12 (p(10,11)
+    once a facet number has two digits) for a vertex, D1&D2 otherwise."""
+    if not face:
+        return "interior"
+    numbers = [str(i + 1) for i in sorted(face)]
+    if len(numbers) < dim:
+        return "&".join("D" + k for k in numbers)
+    if all(len(k) == 1 for k in numbers):
+        return "p" + "".join(numbers)
+    return "p(" + ",".join(numbers) + ")"
+
+
+def grouped_components(xi, polytope):
+    """Fixed components by grouping vertices on their nonzero-weight facets,
+    with the invariants that make one vertex speak for its group asserted.
+
+    Each group (vertices whose facets with <xi, e_j> != 0 agree) must hold
+    every vertex of the face those facets cut out, and all its vertices must
+    have one weight sum.  Returns (label, complex_dim, weights, H) per group,
+    sorted by (-H, label), the order ActionData keeps.
+    """
+    vertices = polytope.vertices
+    groups = {}
+    for v in vertices:
+        raw = [sum(a * b for a, b in zip(xi, e)) for e in v.edge_directions]
+        face = frozenset(f for f, w in zip(sorted(v.incident_facets), raw) if w)
+        groups.setdefault(face, []).append(raw)
+    comps = []
+    for face, raws in groups.items():
+        filled = sum(face <= v.incident_facets for v in vertices)
+        assert filled == len(raws), f"group {sorted(face)} does not fill its face"
+        sums = {sum(raw) for raw in raws}
+        assert len(sums) == 1, f"group {sorted(face)} has weight sums {sorted(sums)}"
+        comps.append((point_name(face, polytope.dim), polytope.dim - len(face),
+                      tuple(sorted(w for w in raws[0] if w)), -sums.pop()))
+    return sorted(comps, key=lambda c: (-c[3], c[0]))
 
 
 def exit_step_edges(polytope):

@@ -25,6 +25,7 @@ from gromov_width.errors import (
     Unbounded,
 )
 from gromov_width.lattice import pairing
+from gromov_width.serialize import fraction_from_json
 from gromov_width.polytope import (
     _NORMALIZED_KEPT,
     DelzantPolytope,
@@ -33,6 +34,7 @@ from gromov_width.polytope import (
     _cramer,
     _greedy_basis,
     _nonsingular_subsets,
+    _offset_from_json,
     _ray_basis,
     _scaled_offsets,
     _scan,
@@ -299,6 +301,69 @@ def test_json_rejects_garbage():
             {"normal": [1], "offset": 0.5}]})
 
 
+def outcome(parse, value):
+    """(type, value) of what parse returns, or (type, message) of what it raises."""
+    try:
+        result = parse(value)
+    except Exception as exc:    # noqa: BLE001 - the parity compares any error
+        return type(exc), str(exc)
+    return type(result), result
+
+
+# Offsets of the plain "p/q" form, which skip Fraction's string parser, and
+# every other form, which goes to fraction_from_json.
+PLAIN_OFFSETS = ["-0/5", "007/3", "4/6", "-4/6", "0/1", "-12/1", "1/3", "9" * 4000 + "/7"]
+FALLBACK_OFFSETS = ["+1/2", " 1/2", "1/2 ", "1_0/3", "\u0661/\u0662", "\uff11/2", "1/0",
+                    "-0/0", "1.5", "1e3", "-2", "", "1/2/3", "1/-2", "--1/2", "9" * 5000 + "/3",
+                    "1/" + "9" * 5000, True, False, 0.5, -1.0, None, [1], 3, -(10 ** 50)]
+
+
+@pytest.mark.parametrize("value", PLAIN_OFFSETS + FALLBACK_OFFSETS,
+                         ids=lambda v: repr(v)[:24])
+def test_offset_fast_path_equals_fraction_from_json(value):
+    assert outcome(_offset_from_json, value) == outcome(fraction_from_json, value)
+
+
+def test_offset_fast_path_takes_only_the_plain_form(monkeypatch):
+    fallbacks = []
+    real = polytope_module.fraction_from_json
+
+    def counting(value):
+        fallbacks.append(value)
+        return real(value)
+
+    monkeypatch.setattr(polytope_module, "fraction_from_json", counting)
+    for value in PLAIN_OFFSETS:
+        _offset_from_json(value)
+    assert fallbacks == []
+    for value in FALLBACK_OFFSETS:
+        outcome(_offset_from_json, value)
+    assert fallbacks == FALLBACK_OFFSETS
+
+
+def test_parse_keeps_the_order_and_messages_of_its_errors():
+    def parsed(normal, offset):
+        return outcome(polytope_from_json, {"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": -1}, {"normal": normal, "offset": offset}]})
+
+    # the offset is parsed before the normal's content is checked
+    assert parsed([0, 0], "1/0") == (InvalidInput, "bad rational literal '1/0'")
+    assert parsed([2, 4], "+1/2") == (
+        InvalidInput, "facet normal (2, 4) is not primitive (gcd 2)")
+    for normal in ([], [0, 0], [2, 4], [0, -3]):
+        try:
+            HalfSpace(tuple(normal), Fraction(-1))
+        except Exception as exc:    # noqa: BLE001
+            expected = (type(exc), str(exc))
+        assert parsed(normal, -1) == parsed(normal, "-1/1") == expected
+    assert parsed([True, 0], "1/0") == (
+        InvalidInput, 'facet "normal" must be a list of integers: [True, 0]')
+    # a primitive normal is trusted, and equals the validated half-space
+    poly = polytope_from_json({"dim": 2, "facets": [{"normal": [-2, 3], "offset": "4/6"}]})
+    assert poly.facets == (HalfSpace((-2, 3), Fraction(2, 3)),)
+    assert type(poly.facets[0].normal) is tuple and type(poly.facets[0].offset) is Fraction
+
+
 def test_load_polytope_file(tmp_path):
     loaded = load_polytope(DATA / "fig1.json")
     assert loaded == blown_up_plane()
@@ -502,9 +567,9 @@ def count_enumerations(monkeypatch):
     enumerated = []
     real_enumerate_vertices = polytope_module.enumerate_vertices
 
-    def counting(polytope):
+    def counting(polytope, *walked):
         enumerated.append(polytope)
-        return real_enumerate_vertices(polytope)
+        return real_enumerate_vertices(polytope, *walked)
 
     monkeypatch.setattr(polytope_module, "enumerate_vertices", counting)
     return enumerated
@@ -831,6 +896,45 @@ def test_normalize_failures_keep_type_message_and_priority(poly, error, message)
     assert str(err.value) == message
 
 
+def counted(monkeypatch, name):
+    """The arguments of every call to the polytope module's function name."""
+    calls = []
+    real = getattr(polytope_module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope_module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("poly, error, message", NORMALIZE_FAILURES)
+def test_normalize_failures_scan_once(monkeypatch, poly, error, message):
+    scans = counted(monkeypatch, "_scan")
+    with pytest.raises(error) as err:
+        monotone_normalize(poly)
+    assert (type(err.value), str(err.value)) == (error, message)
+    # a polytope that is Delzant but not translatable needs no scan; every
+    # other failure is worded by one scan, of the polytope given
+    assert len(scans) == (error is not NotMonotone)
+    assert all(args[0] == poly for args in scans)
+
+
+def test_one_greedy_basis_per_fresh_normalization(monkeypatch):
+    rng = random.Random(60471)
+    polys = [scrambled_monotone_product(rng, names)[2]
+             for names in WALK_PRODUCTS[:8] + FOUR_DIM_PRODUCTS]
+    bases = counted(monkeypatch, "_greedy_basis")
+    enumerated = count_enumerations(monkeypatch)
+    reflexives = [monotone_normalize(poly)[1] for poly in polys]
+    assert len(bases) == len(polys)
+    assert enumerated == reflexives
+    for poly in polys:
+        monotone_normalize(polytope_from_json(polytope_to_json(poly)))
+    assert len(bases) == len(polys) and len(enumerated) == len(polys)
+
+
 def adversarial_dp3(k):
     """(dP3)^k translated off reflexive position, with the first factor's
     facets ordered so that its first nonsingular pair has no vertex."""
@@ -854,7 +958,7 @@ def count_solves(monkeypatch):
     return solves
 
 
-def test_adversarial_order_is_normalized_in_three_solves(monkeypatch, no_scan):
+def test_adversarial_order_is_normalized_in_two_solves(monkeypatch, no_scan):
     poly = load_polytope(DATA / "dp3_5_adversarial.json")
     assert poly == adversarial_dp3(5)
     normals = [f.normal for f in poly.facets]
@@ -863,8 +967,8 @@ def test_adversarial_order_is_normalized_in_three_solves(monkeypatch, no_scan):
     solves = count_solves(monkeypatch)
     _, reflexive = monotone_normalize(poly)
     assert len(reflexive.vertices) == 6 ** 5
-    # the translation, the greedy basis, the basis the rays meet
-    assert len(solves) == 3
+    # the translation with the greedy basis (one elimination), the basis the rays meet
+    assert len(solves) == 2
 
 
 def test_ten_dim_normalize_solves_at_most_three_systems(monkeypatch, no_scan):

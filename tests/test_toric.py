@@ -55,7 +55,7 @@ from generators import (
     transform_covector,
 )
 from helpers import DATA, primitive_box, run_cli
-from oracles import union_find_components
+from oracles import grouped_components, union_find_components
 
 
 def reflexive_blowup():
@@ -287,9 +287,9 @@ def test_one_enumeration_per_request(monkeypatch, names, width):
     enumerated = []
     real_enumerate_vertices = polytope_module.enumerate_vertices
 
-    def counting(polytope):
+    def counting(polytope, *walked):
         enumerated.append(polytope)
-        return real_enumerate_vertices(polytope)
+        return real_enumerate_vertices(polytope, *walked)
 
     monkeypatch.setattr(polytope_module, "enumerate_vertices", counting)
     _, _, scrambled, xi = scrambled_monotone_product(random.Random(7373), names)
@@ -330,6 +330,37 @@ def test_trusted_components_equal_validated_ones():
             validated = FixedComponent("x", raw.count(0), [w for w in raw if w], -sum(raw))
             built = _vertex_component(raw, "x", {})
             assert built == validated and hash(built) == hash(validated)
+
+
+# Reflexive products swept over a whole box of directions: [-2, 2]^d up to
+# dimension 3, {0, 1}^4 in dimension 4.
+GROUPED_SEEDS = [("P2",), ("P1xP1",), ("dP1",), ("dP2",), ("dP3",), ("P2", "P1"),
+                 ("P1",) * 3, ("dP1", "P1"), ("dP3", "P1"), ("P2", "P2"), ("P1",) * 4,
+                 ("dP3", "dP3"), ("P1xP1", "P2")]
+
+
+def grouped_specs():
+    rng = random.Random(60470)
+    for names in GROUPED_SEEDS:
+        seed = reflexive_product(*names)
+        _, scrambled = monotone_normalize(scrambled_monotone_product(rng, names)[2])
+        box = primitive_box(seed.dim, 2) if seed.dim <= 3 else [
+            xi for xi in primitive_box(seed.dim, 1) if min(xi) >= 0]
+        for reflexive in (seed, scrambled):
+            for xi in box:
+                yield SubcircleSpec(xi, reflexive)
+
+
+def test_toric_action_equals_grouped_formula():
+    # every group fills its face with one weight sum (asserted by the oracle),
+    # and toric_action gives its labels, order, weights and levels
+    count = 0
+    for spec in grouped_specs():
+        expected = grouped_components(spec.xi, spec.polytope)
+        assert [(c.label, c.complex_dim, c.weights, c.H)
+                for c in toric_action(spec).components] == expected, spec.xi
+        count += 1
+    assert count == 2 * (5 * 16 + 4 * 98 + 4 * 15)
 
 
 def test_isotropy_orders_are_quotient_orders():
